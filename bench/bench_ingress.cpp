@@ -25,17 +25,20 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <fstream>
 #include <limits>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "harness/cluster.hpp"
 #include "support/log.hpp"
 
 namespace {
+
+using icc::bench::BenchResult;
+using icc::bench::write_bench_json;
 
 using namespace icc;
 
@@ -121,29 +124,6 @@ Leg run_leg(size_t n, bool intern, sim::Duration sim_time) {
   l.wall_s = static_cast<double>(t1.tv_sec - t0.tv_sec) +
              static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-9;
   return l;
-}
-
-struct BenchResult {
-  std::string name;
-  double value;
-  const char* unit;
-};
-
-bool write_bench_json(const char* path, const std::vector<BenchResult>& results) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << "{\"schema\":\"icc-bench/v1\",\"bench\":\"ingress_intern\",\"config\":{"
-      << "\"protocol\":\"icc0\",\"crypto\":\"real\",\"seed\":42,\"threads\":1,"
-      << "\"payload\":512,\"ns\":[16,32,64,100],\"windows_s\":[1,2,1,0.5]},\"results\":[";
-  char buf[64];
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i) out << ",";
-    std::snprintf(buf, sizeof buf, "%.3f", results[i].value);
-    out << "\n  {\"name\":\"" << results[i].name << "\",\"value\":" << buf
-        << ",\"unit\":\"" << results[i].unit << "\"}";
-  }
-  out << "\n]}\n";
-  return static_cast<bool>(out);
 }
 
 // Behaviour-neutrality smoke under faults, cheap enough for every CI run:
@@ -282,7 +262,10 @@ int main(int argc, char** argv) {
   }
   if (!ok) return 1;
   if (json_path != nullptr) {
-    if (!write_bench_json(json_path, results)) {
+    if (!write_bench_json(json_path, "ingress_intern",
+                          "\"protocol\":\"icc0\",\"crypto\":\"real\",\"seed\":42,\"threads\":1,"
+                          "\"payload\":512,\"ns\":[16,32,64,100],\"windows_s\":[1,2,1,0.5]",
+                          results)) {
       std::fprintf(stderr, "cannot write %s\n", json_path);
       return 1;
     }

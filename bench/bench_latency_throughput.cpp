@@ -28,16 +28,19 @@
 #include <cstdlib>
 #include <ctime>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "harness/baseline_cluster.hpp"
 #include "harness/cluster.hpp"
 #include "support/log.hpp"
 
 namespace {
+
+using icc::bench::BenchResult;
+using icc::bench::write_bench_json;
 
 using namespace icc;
 
@@ -236,32 +239,6 @@ int runtime_overhead_main() {
   std::printf("  overhead:      %+.2f %%  (median pair ratio; budget < 5 %%)\n",
               overhead_pct);
   return overhead_pct < 5.0 ? 0 : 1;
-}
-
-/// One named scalar for the BENCH_*.json baseline (schema icc-bench/v1).
-/// Values come from virtual time, so they are identical on any machine —
-/// exactly what makes them gateable in CI (ci/bench_compare.py).
-struct BenchResult {
-  std::string name;
-  double value;
-  const char* unit;
-};
-
-bool write_bench_json(const char* path, const char* bench, const std::string& config,
-                      const std::vector<BenchResult>& results) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << "{\"schema\":\"icc-bench/v1\",\"bench\":\"" << bench << "\",\"config\":{"
-      << config << "},\"results\":[";
-  char buf[64];
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i) out << ",";
-    std::snprintf(buf, sizeof buf, "%.3f", results[i].value);
-    out << "\n  {\"name\":\"" << results[i].name << "\",\"value\":" << buf
-        << ",\"unit\":\"" << results[i].unit << "\"}";
-  }
-  out << "\n]}\n";
-  return static_cast<bool>(out);
 }
 
 // F-PAR: multi-core scaling of the deterministic parallel runtime

@@ -17,10 +17,10 @@
 // traffic, failures cut the block rate ~2.5x and reduce traffic.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "harness/cluster.hpp"
 #include "smr/smr.hpp"
 
@@ -167,14 +167,8 @@ int main(int argc, char** argv) {
   std::printf("%-10s %-18s %-24s %-24s\n", "subnet", "scenario", "blocks/s (paper)",
               "Mb/s per node (paper)");
   std::printf("--------------------------------------------------------------------------\n");
-  // Named scalars for the committed BENCH_table1.json baseline (schema
-  // icc-bench/v1). Virtual-time-derived, so identical on any machine.
-  struct NamedResult {
-    std::string name;
-    double value;
-    const char* unit;
-  };
-  std::vector<NamedResult> results;
+  // Named scalars for the committed BENCH_table1.json baseline.
+  std::vector<bench::BenchResult> results;
   const char* scenario_key[] = {"no_load", "load", "load_failures"};
   for (const auto& sub : subnets) {
     for (int s = 0; s < 3; ++s) {
@@ -194,21 +188,13 @@ int main(int argc, char** argv) {
               "block rate ~2.5x and reduce per-node traffic; larger subnets are\n"
               "slower but chattier.\n");
 
-  std::ofstream out(json_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
+  if (!bench::write_bench_json(json_path, "table1",
+                               std::string("\"window_s\":") + std::to_string(window_s) +
+                                   ",\"subnets\":[13,40],\"seed_base\":1234",
+                               results)) {
     std::fprintf(stderr, "cannot write %s\n", json_path);
     return 1;
   }
-  out << "{\"schema\":\"icc-bench/v1\",\"bench\":\"table1\",\"config\":{\"window_s\":"
-      << window_s << ",\"subnets\":[13,40],\"seed_base\":1234},\"results\":[";
-  char buf[64];
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i) out << ",";
-    std::snprintf(buf, sizeof buf, "%.3f", results[i].value);
-    out << "\n  {\"name\":\"" << results[i].name << "\",\"value\":" << buf
-        << ",\"unit\":\"" << results[i].unit << "\"}";
-  }
-  out << "\n]}\n";
   std::printf("wrote %s\n", json_path);
   return 0;
 }

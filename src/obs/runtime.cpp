@@ -24,6 +24,7 @@ namespace icc::obs {
 
 namespace {
 constexpr auto kRelaxed = std::memory_order_relaxed;
+std::atomic<uint64_t> g_next_generation{1};
 
 const char* const kTaskNames[kTaskKinds] = {
     "engine_batch", "parallel_region", "party_group",
@@ -120,7 +121,9 @@ int64_t RuntimeProfiler::now_ns() {
 }
 
 RuntimeProfiler::RuntimeProfiler(size_t span_capacity)
-    : span_capacity_(span_capacity), lanes_(new Lane[kMaxLanes]) {
+    : span_capacity_(span_capacity),
+      generation_(g_next_generation.fetch_add(1, kRelaxed)),
+      lanes_(new Lane[kMaxLanes]) {
   start_ns_ = now_ns();
   // The constructing thread is the coordinator: registering it here pins it
   // to lane 0 ("main") and starts its window with the profiler's.
@@ -143,12 +146,12 @@ RuntimeProfiler::Lane& RuntimeProfiler::register_lane() {
 
 RuntimeProfiler::Lane& RuntimeProfiler::lane() {
   struct TlsRef {
-    RuntimeProfiler* owner = nullptr;
+    uint64_t generation = 0;
     Lane* lane = nullptr;
   };
   thread_local TlsRef tls;
-  if (tls.owner != this) {
-    tls.owner = this;
+  if (tls.generation != generation_) {
+    tls.generation = generation_;
     tls.lane = &register_lane();
   }
   return *tls.lane;

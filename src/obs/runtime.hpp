@@ -247,6 +247,9 @@ class RuntimeProfiler final : public support::TaskProbe {
   Lane& register_lane();
 
   size_t span_capacity_;
+  /// Unique per instance (never reused, unlike the address), so lane()'s
+  /// thread-local cache cannot hand a new profiler a freed one's lane.
+  uint64_t generation_;
   size_t threads_ = 1;
   int64_t start_ns_ = 0;
   std::atomic<uint32_t> next_lane_{0};

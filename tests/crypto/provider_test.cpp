@@ -8,7 +8,10 @@
 namespace icc::crypto {
 namespace {
 
-enum class Kind { kReal, kFast };
+// 64-bit so that ProviderCase has no padding: gtest prints the parameter's
+// raw bytes into the test name, and uninitialised padding bytes would give the
+// same case a different name in every build.
+enum class Kind : uint64_t { kReal, kFast };
 
 struct ProviderCase {
   Kind kind;

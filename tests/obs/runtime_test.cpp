@@ -15,6 +15,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,27 @@ TEST(RuntimeProfilerTest, RingOverflowSetsDroppedAndReportStillParses) {
   const obs::RuntimeAnalysis a = obs::analyze_runtime(*parsed);
   EXPECT_GT(a.serial_fraction, 0.0);
   EXPECT_LE(a.serial_fraction, 1.0);
+}
+
+// A profiler built at a freed profiler's address must register a fresh lane
+// on a thread that used the old one, not reuse the freed lane array.
+TEST(RuntimeProfilerTest, ProfilerAtReusedAddressGetsItsOwnLane) {
+  alignas(obs::RuntimeProfiler) unsigned char buf[sizeof(obs::RuntimeProfiler)];
+  auto* first = new (buf) obs::RuntimeProfiler(8);
+  first->record_span(obs::TaskKind::kEngineBatch, 1, 2, 0, 0);
+  first->~RuntimeProfiler();
+
+  auto* second = new (buf) obs::RuntimeProfiler(8);
+  ASSERT_EQ(static_cast<void*>(first), static_cast<void*>(second));
+  second->record_span(obs::TaskKind::kDeferReplay, 3, 4, 0, 0);
+  const obs::RuntimeReport rep = second->make_report();
+  second->~RuntimeProfiler();
+
+  ASSERT_EQ(rep.workers.size(), 1u);
+  EXPECT_EQ(rep.workers[0].name, "main");
+  EXPECT_EQ(rep.workers[0].spans_recorded, 1u);
+  EXPECT_EQ(rep.workers[0].tasks[static_cast<size_t>(obs::TaskKind::kDeferReplay)].count, 1u);
+  EXPECT_EQ(rep.workers[0].tasks[static_cast<size_t>(obs::TaskKind::kEngineBatch)].count, 0u);
 }
 
 // Contract 2b: the JSON document is an exact inverse of the report for
