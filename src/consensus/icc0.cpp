@@ -563,6 +563,19 @@ types::ProposalMsg Icc0Party::build_proposal(const types::Block& block) {
   return pm;
 }
 
+void Icc0Party::echo_block(sim::Context& ctx, const Block& block, const Bytes& authenticator) {
+  // The echo carries the block, its authenticator and *our own* parent
+  // notarization, so it need not be byte-identical to the proposer's message.
+  ProposalMsg echo;
+  echo.block = block;
+  echo.authenticator = authenticator;
+  if (block.round > 1) {
+    const NotarizationMsg* parent_nm = pool_.notarization_for(block.parent_hash);
+    if (parent_nm) echo.parent_notarization = types::serialize_message(Message{*parent_nm});
+  }
+  disseminate(ctx, echo, true);
+}
+
 bool Icc0Party::fire_echo_notarize(sim::Context& ctx) {
   auto valid = pool_.valid_blocks_at(round_);
   if (valid.empty()) return false;
@@ -586,20 +599,12 @@ bool Icc0Party::fire_echo_notarize(sim::Context& ctx) {
     if (ranks_.rank_of[b->proposer] != best) continue;
     if (notarized_set_.count(h)) continue;
 
-    // Echo B (+ authenticator + parent notarization) so every party gets the
-    // chance to notarize or disqualify — unless it is our own block, which
-    // we already broadcast when proposing.
+    // Echo B so every party gets the chance to notarize or disqualify —
+    // unless it is our own block, which we already broadcast when proposing.
     if (best != my_rank) {
-      ProposalMsg echo;
-      echo.block = *b;
       const Bytes* auth = pool_.authenticator_for(h);
       if (!auth) continue;
-      echo.authenticator = *auth;
-      if (b->round > 1) {
-        const NotarizationMsg* parent_nm = pool_.notarization_for(b->parent_hash);
-        if (parent_nm) echo.parent_notarization = types::serialize_message(Message{*parent_nm});
-      }
-      disseminate(ctx, echo, true);
+      echo_block(ctx, *b, *auth);
     }
 
     bool rank_in_n = false;

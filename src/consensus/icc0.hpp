@@ -6,10 +6,12 @@
 // operational reading of the paper's "wait for" semantics (the pool is not
 // modified while a clause executes).
 //
-// Dissemination is factored behind two virtual hooks so ICC1 (gossip) and
+// Dissemination is factored behind three virtual hooks so ICC1 (gossip) and
 // ICC2 (erasure-coded reliable broadcast) can reuse the full consensus logic
 // and replace only how large artifacts travel:
 //   * disseminate(msg)      — how a consensus message reaches everyone;
+//   * echo_block(block)     — clause (c)'s re-send of a peer's block (base:
+//                             re-broadcast it; ICC1/ICC2: nothing);
 //   * on_wire(from, bytes)  — how raw network bytes become consensus
 //                             messages (base: parse + ingest directly).
 #pragma once
@@ -72,6 +74,12 @@ class Icc0Party : public sim::Process {
   /// base implementation decodes and ingests directly.
   virtual void on_wire(sim::Context& ctx, sim::PartyIndex from,
                        const std::shared_ptr<const Bytes>& bytes);
+
+  /// Fig. 1 clause (c)'s echo of a peer's valid block. The base
+  /// implementation re-broadcasts the block with its authenticator and this
+  /// party's parent notarization; ICC1 and ICC2 leave delivery to their
+  /// sub-layers and echo nothing.
+  virtual void echo_block(sim::Context& ctx, const Block& block, const Bytes& authenticator);
 
   /// Byzantine-behaviour hook: called instead of honest proposal logic when
   /// overridden (see byzantine.hpp). Returns true if a proposal was made.

@@ -44,10 +44,12 @@ void Icc1Party::on_wire(sim::Context& ctx, sim::PartyIndex from,
     return;
   }
 
-  // A block body (pushed by ICC0-style echo of a peer, or pulled): become a
-  // source for it and tell the others, then feed consensus as usual. The
-  // gossip layer stores the delivered wire buffer itself — across parties
-  // that is one shared allocation per artifact, not n copies.
+  // A block body (pushed whole by its proposer when small, or pulled):
+  // become a source for these exact bytes and tell the others, then feed
+  // consensus as usual. Non-proposers never re-send a block; this advert is
+  // their whole share of its dissemination. The gossip layer stores the
+  // delivered wire buffer itself — across parties that is one shared
+  // allocation per artifact, not n copies.
   if (std::holds_alternative<types::ProposalMsg>(*msg)) {
     const auto& block = std::get<types::ProposalMsg>(*msg).block;
     if (gossip_.store(bytes, block.round, ctx.now())) {

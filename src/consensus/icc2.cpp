@@ -8,18 +8,10 @@ void Icc2Party::disseminate(sim::Context& ctx, const types::Message& msg,
     ctx.broadcast(types::serialize_message(msg));
     return;
   }
-  const auto& proposal = std::get<types::ProposalMsg>(msg);
-  if (proposal.block.proposer == self_) {
-    // Our own proposal: full dispersal. Our pool already holds it (the
-    // caller ingests before disseminating).
-    rbc_.broadcast_block(ctx, proposal);
-  } else {
-    // Echoing someone else's block (Fig. 1 clause (c)): the RBC's own
-    // fragment echo already happened when we first saw a fragment, and a
-    // reconstruction-path echo happens inside the RBC layer; re-dispersing
-    // the whole block here would defeat the bandwidth bound, so we rely on
-    // the subprotocol's totality guarantee instead.
-  }
+  // Only our own proposal is block-bearing here (echo_block is a no-op):
+  // full dispersal. Our pool already holds it (the caller ingests before
+  // disseminating).
+  rbc_.broadcast_block(ctx, std::get<types::ProposalMsg>(msg));
 }
 
 void Icc2Party::on_wire(sim::Context& ctx, sim::PartyIndex from,

@@ -2,9 +2,9 @@
 // by the erasure-coded reliable broadcast subprotocol (rbc::RbcLayer).
 //
 // Small artifacts remain all-to-all pushes. Proposals are dispersed as
-// Reed–Solomon fragments; an *echo* of a block the party already
-// reconstructed only re-broadcasts the party's own fragment (cheap), since
-// the RBC itself guarantees totality of delivery.
+// Reed–Solomon fragments. Clause (c)'s echo of a peer's block is a no-op:
+// re-dispersing the whole block would defeat the bandwidth bound, and the
+// RBC's own fragment echoes already guarantee totality of delivery.
 #pragma once
 
 #include "consensus/icc0.hpp"
@@ -25,6 +25,7 @@ class Icc2Party : public Icc0Party {
  protected:
   void disseminate(sim::Context& ctx, const types::Message& msg,
                    bool is_block_bearing) override;
+  void echo_block(sim::Context&, const Block&, const Bytes&) override {}
   void on_wire(sim::Context& ctx, sim::PartyIndex from,
                const std::shared_ptr<const Bytes>& bytes) override;
   void on_prune(Round round) override { rbc_.prune_below(round); }

@@ -111,6 +111,11 @@ TEST(Icc1Test, GossipReducesLeaderByteBottleneck) {
 
 TEST(Icc1Test, BlocksTravelOncePerPartyNotOncePerEcho) {
   // Total traffic for ICC1 should be near n block-copies per round, not n^2.
+  // Fast crypto under a fixed delay: every party's notarization of a block
+  // has the same bytes, so a re-wrapped clause (c) echo would be
+  // byte-identical to the proposal and gossip would drop it as held. This
+  // test therefore bounds gossip's fan-out only; the echo itself is pinned
+  // by PulledBlocksStoredOncePerPartyUnderWanWithRealCrypto.
   const size_t payload = 100 * 1024;
   auto o = icc1_options(10, 3, 10);
   o.payload_size = payload;
@@ -126,6 +131,71 @@ TEST(Icc1Test, BlocksTravelOncePerPartyNotOncePerEcho) {
   // lossy gossip; ICC0 would be ~ (n-1)^2 copies (about 8 MB/round here).
   double per_round = static_cast<double>(total) / 8.0;
   EXPECT_LT(per_round, 3.0 * 9 * payload);
+}
+
+ClusterOptions wan_options(size_t n, size_t t, uint64_t seed,
+                           double loss_probability = sim::WanDelay::Config{}.loss_probability) {
+  ClusterOptions o;
+  o.n = n;
+  o.t = t;
+  o.seed = seed;
+  o.protocol = Protocol::kIcc1;
+  o.crypto = CryptoKind::kReal;
+  o.delta_bnd = sim::msec(300);
+  o.payload_size = 4096;  // with its header, above the push threshold: pulled
+  o.prune_lag = 0;
+  o.delay_model = [loss_probability](size_t n, uint64_t seed) {
+    sim::WanDelay::Config wan;
+    wan.n = n;
+    wan.seed = seed;
+    wan.loss_probability = loss_probability;
+    return std::make_unique<sim::WanDelay>(wan);
+  };
+  return o;
+}
+
+TEST(Icc1Test, PulledBlocksStoredOncePerPartyUnderWanWithRealCrypto) {
+  // Real EdDSA notarizations are multisignatures whose bytes depend on which
+  // quorum of shares a party combined first, and under WAN jitter that
+  // differs per party. A clause (c) echo that re-wraps a peer's block with
+  // the echoer's own parent notarization has new bytes at every echoer, and
+  // gossip stores, advertises and pulls each such echo as a new artifact
+  // (~26·n² messages per committed block on this run, against ~7·n² when
+  // only the proposer sends the block). Each party must store one artifact
+  // per block it holds.
+  const size_t n = 32;
+  auto o = wan_options(n, 10, 1);
+  ASSERT_TRUE(o.intern);
+  ASSERT_GE(o.payload_size, o.gossip.push_threshold);
+  Cluster c(o);
+  c.run_for(sim::seconds(1));
+  const size_t blocks = c.min_honest_committed();
+  ASSERT_GE(blocks, 4u);
+  expect_invariants(c);
+  for (size_t i = 0; i < n; ++i) {
+    const auto* p = dynamic_cast<const consensus::Icc1Party*>(c.party(i));
+    ASSERT_NE(p, nullptr);
+    EXPECT_LE(p->gossip().stored_count(), p->pool().block_count()) << "party " << i;
+  }
+  const double messages_per_block =
+      static_cast<double>(c.sim().network().metrics().total_messages) /
+      static_cast<double>(blocks);
+  EXPECT_LE(messages_per_block, 8.0 * n * n);
+}
+
+TEST(Icc1Test, PulledBlocksSurviveLossEquivocationAndCrash) {
+  // Clause (c)'s echo was a second delivery path for a block. Without it,
+  // adverts from every holder plus pull retries must deliver both blocks of
+  // an equivocating rank on their own, with one party silent and 2% of
+  // transfers retransmitted (WanDelay models loss as a retransmission).
+  auto o = wan_options(7, 2, 12, 0.02);
+  ByzantineBehavior eq;
+  eq.equivocate = true;
+  o.corrupt = {{1, eq}, {4, Crashed{}}};
+  Cluster c(o);
+  c.run_for(sim::seconds(10));
+  EXPECT_GE(c.min_honest_committed(), 5u);
+  expect_invariants(c);
 }
 
 TEST(Icc1Test, DeterministicAcrossRuns) {

@@ -3,8 +3,9 @@
 // payloads, the shared verdict memo stays bounded, and — the core contract —
 // interning is behaviour-neutral: committed sequences, logical verifier
 // stats and journal bytes (icc-journal/v2 with causal edges) are identical
-// with interning on or off, at 1, 2 and 8 threads, for all three protocols,
-// including under an equivocating leader.
+// with interning on or off, at 1, 2 and 8 threads, for all three protocols
+// and for ICC1 with real crypto and pulled blocks, including under an
+// equivocating leader.
 #include "pipeline/intern.hpp"
 
 #include <gtest/gtest.h>
@@ -159,19 +160,29 @@ struct RunResult {
   InternStore::Stats istats;
 };
 
+/// One cluster shape of the matrix. The default is fast crypto and 300-byte
+/// blocks, which ICC1 pushes whole.
+struct Leg {
+  harness::Protocol protocol;
+  harness::CryptoKind crypto = harness::CryptoKind::kFast;
+  size_t payload_size = 300;
+  sim::Duration run = sim::seconds(5);
+};
+
 // An equivocating leader is part of every run: the store must keep the two
 // fork payloads distinct while every honest party still shares one parse of
 // each, and the verdict memo must serve verdicts for *both* forks' shares.
-RunResult run_cluster(harness::Protocol protocol, bool intern, size_t threads) {
+RunResult run_cluster(const Leg& leg, bool intern, size_t threads) {
   harness::ClusterOptions o;
   o.n = 7;
   o.t = 2;
   // Seed mirrors pipeline_test: avoids a pre-existing seed-dependent Icc2
   // liveness stall that reproduces identically with interning on or off.
-  o.seed = 501 + static_cast<uint64_t>(protocol);
-  o.protocol = protocol;
+  o.seed = 501 + static_cast<uint64_t>(leg.protocol);
+  o.protocol = leg.protocol;
+  o.crypto = leg.crypto;
   o.delta_bnd = sim::msec(120);
-  o.payload_size = 300;
+  o.payload_size = leg.payload_size;
   o.intern = intern;
   o.threads = threads;
   o.obs.enabled = true;
@@ -184,7 +195,7 @@ RunResult run_cluster(harness::Protocol protocol, bool intern, size_t threads) {
   o.corrupt = {{1, eq}};
 
   harness::Cluster c(o);
-  c.run_for(sim::seconds(5));
+  c.run_for(leg.run);
   EXPECT_FALSE(c.check_safety().has_value());
 
   RunResult r;
@@ -220,16 +231,13 @@ void expect_equal(const RunResult& a, const RunResult& b, const std::string& wha
   EXPECT_EQ(a.pstats.dedup_exempt, b.pstats.dedup_exempt) << what;
 }
 
-class InternMatrixTest : public ::testing::TestWithParam<harness::Protocol> {};
-
-TEST_P(InternMatrixTest, JournalAndCommitsIdenticalInternOnOffAcrossThreads) {
-  harness::Protocol protocol = GetParam();
-  RunResult baseline = run_cluster(protocol, /*intern=*/false, /*threads=*/1);
+void expect_neutral_across_intern_and_threads(const Leg& leg) {
+  RunResult baseline = run_cluster(leg, /*intern=*/false, /*threads=*/1);
   ASSERT_FALSE(baseline.journal.empty());
   for (bool intern : {false, true}) {
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       if (!intern && threads == 1) continue;  // that is the baseline itself
-      RunResult r = run_cluster(protocol, intern, threads);
+      RunResult r = run_cluster(leg, intern, threads);
       expect_equal(r, baseline,
                    std::string(intern ? "intern on" : "intern off") + ", " +
                        std::to_string(threads) + " threads");
@@ -237,12 +245,29 @@ TEST_P(InternMatrixTest, JournalAndCommitsIdenticalInternOnOffAcrossThreads) {
   }
 }
 
+class InternMatrixTest : public ::testing::TestWithParam<harness::Protocol> {};
+
+TEST_P(InternMatrixTest, JournalAndCommitsIdenticalInternOnOffAcrossThreads) {
+  expect_neutral_across_intern_and_threads(Leg{GetParam()});
+}
+
+// The ICC1 leg with real crypto and blocks above the gossip push threshold,
+// so they are advertised and pulled. Real EdDSA notarizations depend on
+// which quorum of shares a party combined first; this is the shape in which
+// a clause (c) echo that re-wrapped a peer's block would have had different
+// bytes at every party.
+TEST(InternMatrixTest, Icc1RealCryptoPulledBlocksIdenticalInternOnOffAcrossThreads) {
+  Leg leg{harness::Protocol::kIcc1, harness::CryptoKind::kReal, 6000, sim::seconds(3)};
+  ASSERT_GT(leg.payload_size, gossip::GossipConfig{}.push_threshold);
+  expect_neutral_across_intern_and_threads(leg);
+}
+
 TEST_P(InternMatrixTest, InternActuallyShares) {
   // The neutrality matrix would pass trivially if the store were never
   // consulted. At 1 thread the counters are exact: 6 honest receivers of
   // every broadcast must collapse to ~1 parse, and the shared memo must
   // absorb most per-party cache misses.
-  RunResult r = run_cluster(GetParam(), /*intern=*/true, /*threads=*/1);
+  RunResult r = run_cluster(Leg{GetParam()}, /*intern=*/true, /*threads=*/1);
   EXPECT_GT(r.istats.parses, 0u);
   EXPECT_GT(r.istats.decode_hits, r.istats.parses)
       << "expected most decodes to be shared";
@@ -252,7 +277,7 @@ TEST_P(InternMatrixTest, InternActuallyShares) {
   // a lone verifier, so they dominate the real cluster-wide work.
   EXPECT_GT(r.vstats.provider_verifications, r.istats.real_verifications);
 
-  RunResult off = run_cluster(GetParam(), /*intern=*/false, /*threads=*/1);
+  RunResult off = run_cluster(Leg{GetParam()}, /*intern=*/false, /*threads=*/1);
   EXPECT_EQ(off.istats.parses, 0u);
   EXPECT_EQ(off.istats.real_verifications, 0u);
 }
