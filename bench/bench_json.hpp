@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "support/json.hpp"
+
 namespace icc::bench {
 
 /// One named scalar of a baseline.
@@ -25,16 +27,17 @@ struct BenchResult {
 /// with one result per line; false if the file cannot be written.
 inline bool write_bench_json(const char* path, const char* bench, const std::string& config,
                              const std::vector<BenchResult>& results) {
+  using support::json::escape;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
-  out << "{\"schema\":\"icc-bench/v1\",\"bench\":\"" << bench << "\",\"config\":{"
+  out << "{\"schema\":\"icc-bench/v1\",\"bench\":\"" << escape(bench) << "\",\"config\":{"
       << config << "},\"results\":[";
   char buf[64];
   for (size_t i = 0; i < results.size(); ++i) {
     if (i) out << ",";
     std::snprintf(buf, sizeof buf, "%.3f", results[i].value);
-    out << "\n  {\"name\":\"" << results[i].name << "\",\"value\":" << buf
-        << ",\"unit\":\"" << results[i].unit << "\"}";
+    out << "\n  {\"name\":\"" << escape(results[i].name) << "\",\"value\":" << buf
+        << ",\"unit\":\"" << escape(results[i].unit) << "\"}";
   }
   out << "\n]}\n";
   return static_cast<bool>(out);

@@ -130,8 +130,8 @@ double timed_run_s(bool obs_enabled, bool runtime_enabled = false,
   o.prune_lag = 8;
   o.record_payloads = false;
   o.threads = threads;
-  // The "on" leg enables the full recorder stack — metrics, tracing, the
-  // event journal AND the windowed time-series recorder — so the <5% budget
+  // The "on" leg enables the full recorder stack — metrics, the event
+  // journal AND the windowed time-series recorder — so the <5% budget
   // covers the flight recorder and the longitudinal stream too.
   o.obs.enabled = obs_enabled;
   o.obs.journal = obs_enabled;
@@ -223,7 +223,7 @@ int obs_overhead_main() {
 
 // F-RUNTIME gate: marginal CPU cost of the wall-clock runtime profiler on
 // top of an already-instrumented run. Both legs enable the full telemetry
-// stack (metrics + tracing + journal) at 2 worker threads so the executor,
+// stack (metrics + journal + series) at 2 worker threads so the executor,
 // verifier-shard and intern-shard probe paths are actually exercised; only
 // obs.runtime differs. Same median-of-pairs judgement and <5% budget as
 // F-OBS.

@@ -9,14 +9,16 @@
 //     --payload <bytes>              block payload size (default 4096)
 //     --crash <int>                  # crashed parties (default 0)
 //     --equivocate <int>             # equivocating parties (default 0)
-//     --trace <path>                 Chrome trace_event output (default trace.json)
+//     --trace <path>                 Chrome trace_event output, rendered from
+//                                    the event journal (default trace.json)
 //     --metrics <path>               metrics snapshot output (default metrics.json)
 //     --journal <path>               flight-recorder JSONL output; also runs the
 //                                    offline safety audit inline (icc_audit
 //                                    semantics) and folds it into the digest
-//     --no-causal                    record a v1 journal without send/recv
+//     --no-causal                    write a v1 journal without send/recv
 //                                    edges (smaller; critical-path analysis
-//                                    then impossible)
+//                                    then impossible). The causal layer is
+//                                    only recorded for a journal file
 //     --critpath                     run the causal critical-path analysis
 //                                    inline (icc_critpath semantics) and fold
 //                                    the hop/latency decomposition into the
@@ -31,7 +33,6 @@
 //                                    trace. Output is NON-DETERMINISTIC;
 //                                    journal/metrics bytes are unchanged.
 //     --runtime-report <path>        report output (default runtime.json)
-//     --trace-capacity <int>         span ring slots (default 65536)
 //     --journal-capacity <int>       journal event bound (default 1<<22 here;
 //                                    the causal layer records every transfer)
 //     --stage-wall-timing            wall-clock decode/verify histograms
@@ -46,19 +47,20 @@
 //                                    failing run's journal/trace can be
 //                                    reproduced exactly from the CLI
 //
-// The trace opens in chrome://tracing or https://ui.perfetto.dev: one
-// process per party, with consensus rounds as spans and propose/finalize
-// instants on lane 0, gossip fetches on lane 1. The metrics snapshot is a
+// The journal is always recorded; the trace is rendered from it and opens
+// in chrome://tracing or https://ui.perfetto.dev: one process per party,
+// with consensus rounds as spans and propose/finalize instants on lane 0,
+// gossip fetches and pull retries on lane 1. The metrics snapshot is a
 // single JSON object; see DESIGN.md § Observability for the mapping from
 // metric names to the paper's claims.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "harness/cluster.hpp"
 #include "obs/audit.hpp"
 #include "obs/causal.hpp"
+#include "support/json.hpp"
 
 int main(int argc, char** argv) {
   using namespace icc;
@@ -71,6 +73,7 @@ int main(int argc, char** argv) {
   o.delta_bnd = sim::msec(600);
   o.payload_size = 4096;
   o.obs.enabled = true;
+  o.obs.journal = true;  // the trace is rendered from it
   int seconds = 20;
   int delta_ms = 10;
   int crash = 0, equivocate = 0;
@@ -112,22 +115,14 @@ int main(int argc, char** argv) {
     else if (is("--equivocate")) equivocate = atoi(next());
     else if (is("--trace")) trace_path = next();
     else if (is("--metrics")) metrics_path = next();
-    else if (is("--journal")) {
-      journal_path = next();
-      o.obs.journal = true;
-    }
+    else if (is("--journal")) journal_path = next();
     else if (is("--no-causal")) o.obs.journal_causal = false;
     else if (is("--runtime")) o.obs.runtime = true;
     else if (is("--runtime-report")) {
       runtime_path = next();
       o.obs.runtime = true;
     }
-    else if (is("--critpath")) {
-      critpath = true;
-      o.obs.journal = true;
-    }
-    else if (is("--trace-capacity"))
-      o.obs.trace_capacity = static_cast<size_t>(atoi(next()));
+    else if (is("--critpath")) critpath = true;
     else if (is("--journal-capacity"))
       o.obs.journal_capacity = static_cast<size_t>(atoll(next()));
     else if (is("--stage-wall-timing")) o.obs.stage_wall_timing = true;
@@ -171,6 +166,8 @@ int main(int argc, char** argv) {
   }
 
   if (critpath && journal_path == nullptr) journal_path = "journal.jsonl";
+  // The causal send/recv layer is only worth its cost in a journal file.
+  if (journal_path == nullptr) o.obs.journal_causal = false;
 
   harness::Cluster cluster(o);
   const char* proto_name = o.protocol == harness::Protocol::kIcc0   ? "ICC0"
@@ -222,29 +219,21 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long>(is.verdict_memo_hits),
                 static_cast<unsigned long>(is.verdicts_primed));
   }
-  std::printf("trace events:        %lu recorded, %lu dropped\n",
-              static_cast<unsigned long>(cluster.obs()->tracer().recorded()),
-              static_cast<unsigned long>(cluster.obs()->tracer().dropped()));
-  if (cluster.obs()->tracer().dropped() > 0) {
+  const obs::Journal* journal = cluster.journal();
+  if (journal->dropped() > 0)
     std::fprintf(stderr,
-                 "\n*** WARNING: the span tracer dropped %lu events — the trace "
-                 "is TRUNCATED and will look complete in the viewer.\n"
-                 "*** Re-run with --trace-capacity > %lu (current %lu) or a "
-                 "shorter --seconds to capture everything.\n\n",
-                 static_cast<unsigned long>(cluster.obs()->tracer().dropped()),
-                 static_cast<unsigned long>(cluster.obs()->tracer().recorded() +
-                                            cluster.obs()->tracer().dropped()),
-                 static_cast<unsigned long>(o.obs.trace_capacity));
-  }
+                 "\n*** WARNING: the journal dropped %lu events — the trace (and any "
+                 "audit or critical path) covers a TRUNCATED run and will look "
+                 "complete in the viewer.\n"
+                 "*** Re-run with --journal-capacity > %lu or a shorter --seconds.\n\n",
+                 static_cast<unsigned long>(journal->dropped()),
+                 static_cast<unsigned long>(journal->size() + journal->dropped()));
 
   // --- artifacts ---
-  std::ofstream mf(metrics_path);
-  if (!mf) {
+  if (!support::json::write_file(metrics_path, cluster.metrics_json() + "\n")) {
     std::fprintf(stderr, "cannot write %s\n", metrics_path);
     return 1;
   }
-  mf << cluster.metrics_json() << "\n";
-  mf.close();
   // With --runtime the trace file carries both clocks: virtual-time party
   // tracks plus wall-clock worker lanes, in one trace_event container.
   const bool trace_ok = o.obs.runtime ? cluster.dump_runtime_trace(trace_path)
@@ -288,11 +277,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", journal_path);
       return 1;
     }
-    const obs::Journal* j = cluster.journal();
-    obs::AuditReport audit = obs::audit_journal(j->events(), j->meta(), true);
+    obs::AuditReport audit = obs::audit_journal(journal->events(), journal->meta(), true);
     audit_violations = audit.violations.size();
-    std::printf("journal events:      %zu recorded, %lu dropped -> %s\n", j->size(),
-                static_cast<unsigned long>(j->dropped()), journal_path);
+    std::printf("journal events:      %zu recorded, %lu dropped -> %s\n", journal->size(),
+                static_cast<unsigned long>(journal->dropped()), journal_path);
     std::printf("audit violations:    %zu  (%lu rounds attributed, "
                 "propose->finalize mean %.1f ms)\n",
                 audit_violations, static_cast<unsigned long>(audit.finalized_rounds),
@@ -300,24 +288,16 @@ int main(int argc, char** argv) {
     for (const auto& v : audit.violations)
       std::fprintf(stderr, "audit VIOLATION %s round %lu: %s\n", v.invariant.c_str(),
                    static_cast<unsigned long>(v.round), v.detail.c_str());
-    if (j->dropped() > 0)
-      std::fprintf(stderr,
-                   "*** WARNING: the journal dropped %lu events — audit and "
-                   "critical-path results cover a TRUNCATED run. Re-run with "
-                   "--journal-capacity > %lu.\n",
-                   static_cast<unsigned long>(j->dropped()),
-                   static_cast<unsigned long>(j->size() + j->dropped()));
   }
 
   // --- inline causal critical-path summary (icc_critpath semantics) ---
   bool critpath_error = false;
   if (critpath) {
-    const obs::Journal* j = cluster.journal();
     obs::Journal::Parsed parsed;
-    parsed.meta = j->meta();
-    parsed.meta.dropped = j->dropped();
+    parsed.meta = journal->meta();
+    parsed.meta.dropped = journal->dropped();
     parsed.has_meta = true;
-    parsed.events = j->events();
+    parsed.events = journal->events();
     obs::CausalAnalyzer analyzer(std::move(parsed));
     const obs::CritPathReport& cp = analyzer.report();
     if (!cp.error.empty()) {

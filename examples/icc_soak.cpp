@@ -104,7 +104,6 @@ int main(int argc, char** argv) {
   o.obs.enabled = true;
   o.obs.series = true;
   o.obs.series_wall = true;
-  o.obs.trace_capacity = 0;  // no span ring: soak telemetry is the series
 
   uint64_t target_rounds = 1'000'000;
   int delta_ms = 10;

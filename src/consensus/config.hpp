@@ -81,7 +81,7 @@ struct PartyConfig {
   pipeline::PipelineOptions pipeline;
   DelayFunctions delays;
   std::shared_ptr<PayloadBuilder> payload;
-  /// Telemetry sink (metrics registry + span tracer). Null disables every
+  /// Telemetry sink (metrics registry + event journal). Null disables every
   /// probe — the party then pays one pointer check per probe site.
   obs::Obs* obs = nullptr;
   /// Worker pool shared by the run (DESIGN.md §6). When set (and >1 thread)

@@ -30,7 +30,7 @@ Icc0Party::Icc0Party(PartyIndex self, const PartyConfig& config)
       pipeline_(verifier_, config.pipeline, config.crypto->n()),
       delta_local_(config.delays.delta_bnd) {
   beacon_values_[0] = types::genesis_beacon();
-  probe_.attach(config.obs, self, config.party_honesty);
+  probe_.attach(config.obs, config.party_honesty);
   journal_.attach(config.obs, self);
   pipeline_.attach_obs(config.obs);
   verifier_.attach_obs(config.obs);
@@ -544,7 +544,7 @@ void Icc0Party::emit_proposal(sim::Context& ctx, const Bytes& payload) {
   proposal_times_[h] = ctx.now();
   if (config_.on_propose) config_.on_propose(self_, round_, h, ctx.now());
   pool_.add_proposal(pm);
-  probe_.on_proposed(round_, ctx.now());
+  probe_.on_proposed();
   probe_.on_proposal_seen(round_, ctx.now());
   journal_.propose(round_, h, ctx.now());
   disseminate(ctx, pm, true);

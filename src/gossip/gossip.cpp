@@ -9,7 +9,7 @@ bool GossipLayer::store(std::shared_ptr<const Bytes> raw, Round round, sim::Time
   if (!inserted) return false;
   if (auto pit = pending_.find(id); pit != pending_.end()) {
     if (probe_.on() && now >= 0 && pit->second.first_advert_at >= 0)
-      probe_.on_fetched(size, pit->second.first_advert_at, now);
+      probe_.on_fetched(pit->second.first_advert_at, now);
     if (now >= 0) journal_.gossip_deliver(round, id, size, now);
     pending_.erase(pit);  // no longer waiting for it
     probe_.on_pending_depth(static_cast<int64_t>(pending_.size()));
@@ -60,7 +60,7 @@ void GossipLayer::try_request(sim::Context ctx, Hash id) {
   Pending& p = it->second;
   if (p.attempts >= config_.max_attempts || p.advertisers.empty()) return;
   p.attempts++;
-  probe_.on_request_sent(p.attempts > 1, ctx.now());
+  probe_.on_request_sent(p.attempts > 1);
 
   // Rotate through advertisers, starting from a random position on the
   // first attempt so concurrent requesters pick different sources.

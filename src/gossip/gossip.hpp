@@ -54,7 +54,7 @@ class GossipLayer {
   /// Attach telemetry (queue depth, fetch latency, delivery fan-out) and the
   /// flight recorder (pulled-artifact delivery events).
   void attach_obs(obs::Obs* obs) {
-    probe_.attach(obs, self_);
+    probe_.attach(obs);
     journal_.attach(obs, self_);
   }
 

@@ -1,7 +1,6 @@
 #include "harness/cluster.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -9,6 +8,7 @@
 #include "consensus/icc1.hpp"
 #include "consensus/icc2.hpp"
 #include "support/defer.hpp"
+#include "support/json.hpp"
 
 namespace icc::harness {
 
@@ -343,16 +343,16 @@ std::string Cluster::metrics_json() {
   r.gauge("net.total_messages").set(static_cast<int64_t>(nm.total_messages));
   r.gauge("net.total_bytes").set(static_cast<int64_t>(nm.total_bytes));
   r.gauge("net.max_bytes_sent").set(static_cast<int64_t>(nm.max_bytes_sent()));
-
-  r.gauge("trace.recorded").set(static_cast<int64_t>(obs_->tracer().recorded()));
-  r.gauge("trace.dropped").set(static_cast<int64_t>(obs_->tracer().dropped()));
   return r.snapshot_json();
 }
 
-std::string Cluster::trace_json() const { return obs_ ? obs_->tracer().to_json() : "{}"; }
+std::string Cluster::trace_json() const {
+  const obs::Journal* j = journal();
+  return j ? j->trace_json() : "{}";
+}
 
 bool Cluster::dump_trace(const std::string& path) const {
-  return obs_ && obs_->tracer().write_json(path);
+  return journal() != nullptr && support::json::write_file(path, trace_json());
 }
 
 obs::RuntimeReport Cluster::runtime_report() const {
@@ -379,25 +379,18 @@ std::string Cluster::runtime_report_json() const {
 }
 
 bool Cluster::dump_runtime_report(const std::string& path) const {
-  if (runtime() == nullptr) return false;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << runtime_report_json();
-  return static_cast<bool>(out);
+  return runtime() != nullptr && support::json::write_file(path, runtime_report_json());
 }
 
 std::string Cluster::runtime_trace_json() const {
   const obs::RuntimeProfiler* rt = runtime();
   if (rt == nullptr) return "{}";
-  return rt->trace_json(obs_ ? &obs_->tracer() : nullptr);
+  const obs::Journal* j = journal();
+  return rt->trace_json(j ? obs::trace_events_json(j->events()) : "", j ? j->dropped() : 0);
 }
 
 bool Cluster::dump_runtime_trace(const std::string& path) const {
-  if (runtime() == nullptr) return false;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << runtime_trace_json();
-  return static_cast<bool>(out);
+  return runtime() != nullptr && support::json::write_file(path, runtime_trace_json());
 }
 
 obs::Journal* Cluster::journal() const {

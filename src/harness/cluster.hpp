@@ -79,7 +79,7 @@ struct ClusterOptions {
   /// committed sequences, metrics and journal bytes are identical.
   bool intern = true;
 
-  /// Telemetry (metrics + span tracing). Disabled by default; when enabled,
+  /// Telemetry (metrics, journal, recorders). Disabled by default; when enabled,
   /// probes are attached to honest parties and the network, and the cluster
   /// exposes metrics_json() / trace_json(). Enabling telemetry never changes
   /// protocol behaviour (probes are read-only; asserted by tests/obs).
@@ -170,9 +170,11 @@ class Cluster {
   /// last-write-wins), so one document carries every number the run
   /// produced. Returns "{}" when telemetry is disabled.
   std::string metrics_json();
-  /// Chrome trace_event JSON of the span ring ("{}" when disabled).
+  /// Chrome trace_event JSON rendered from the journal
+  /// (obs::Journal::trace_json); "{}" unless obs.enabled && obs.journal.
   std::string trace_json() const;
-  /// Write trace_json() to `path`; false when disabled or on I/O error.
+  /// Write trace_json() to `path`; false when there is no journal or on
+  /// I/O error.
   bool dump_trace(const std::string& path) const;
 
   // --- wall-clock runtime profiling (ClusterOptions::obs.runtime) ---
@@ -189,7 +191,8 @@ class Cluster {
   /// Write runtime_report_json() to `path`; false when off or on I/O error.
   bool dump_runtime_report(const std::string& path) const;
   /// Merged Chrome trace: wall-clock worker lanes next to the virtual-time
-  /// tracer spans in one container. "{}" when profiling is off.
+  /// events rendered from the journal (when it is on) in one container.
+  /// "{}" when profiling is off.
   std::string runtime_trace_json() const;
   bool dump_runtime_trace(const std::string& path) const;
 

@@ -6,7 +6,8 @@
 #include <sstream>
 #include <tuple>
 
-#include "obs/metrics.hpp"  // json_escape
+#include "support/json.hpp"
+
 
 namespace icc::obs {
 
@@ -244,6 +245,11 @@ AuditReport audit_journal(const std::vector<JournalEvent>& events, const Journal
 
 AuditReport audit_jsonl(const std::string& text) {
   Journal::Parsed parsed = Journal::parse_jsonl(text);
+  if (!parsed.error.empty()) {
+    AuditReport report;
+    report.error = std::move(parsed.error);
+    return report;
+  }
   return audit_journal(parsed.events, parsed.meta, parsed.has_meta);
 }
 
@@ -253,7 +259,7 @@ std::string AuditReport::to_json() const {
   os << ",\"meta\":{\"present\":" << (has_meta ? "true" : "false");
   if (has_meta) {
     os << ",\"n\":" << meta.n << ",\"t\":" << meta.t << ",\"quorum\":" << meta.quorum()
-       << ",\"protocol\":\"" << json_escape(meta.protocol) << "\",\"seed\":" << meta.seed;
+       << ",\"protocol\":\"" << support::json::escape(meta.protocol) << "\",\"seed\":" << meta.seed;
   }
   os << "},\"events\":" << events << ",\"parties\":" << parties_seen
      << ",\"rounds\":" << rounds_seen << ",\"finalized_rounds\":" << finalized_rounds;
@@ -267,9 +273,9 @@ std::string AuditReport::to_json() const {
   os << "},\"violations\":[";
   for (size_t i = 0; i < violations.size(); ++i) {
     if (i) os << ",";
-    os << "{\"invariant\":\"" << json_escape(violations[i].invariant)
+    os << "{\"invariant\":\"" << support::json::escape(violations[i].invariant)
        << "\",\"round\":" << violations[i].round << ",\"detail\":\""
-       << json_escape(violations[i].detail) << "\"}";
+       << support::json::escape(violations[i].detail) << "\"}";
   }
   os << "],\"latency\":{\"attributed_rounds\":";
   uint64_t complete = 0;
@@ -282,7 +288,7 @@ std::string AuditReport::to_json() const {
   for (size_t i = 0; i < round_latencies.size(); ++i) {
     const RoundLatency& lat = round_latencies[i];
     if (i) os << ",";
-    os << "{\"round\":" << lat.round << ",\"hash\":\"" << json_escape(lat.hash)
+    os << "{\"round\":" << lat.round << ",\"hash\":\"" << support::json::escape(lat.hash)
        << "\",\"propose_ts\":" << lat.propose_ts
        << ",\"first_share_ts\":" << lat.first_share_ts
        << ",\"quorum_ts\":" << lat.quorum_ts << ",\"finalized_ts\":" << lat.finalized_ts

@@ -84,7 +84,10 @@ struct AuditReport {
   int64_t mean_quorum_to_final_us = 0;
   int64_t mean_propose_to_final_us = 0;
 
-  bool ok() const { return violations.empty(); }
+  /// Input error: the journal did not parse (line named); nothing audited.
+  std::string error;
+
+  bool ok() const { return violations.empty() && error.empty(); }
 
   /// Machine-readable run report (single JSON object, deterministic).
   std::string to_json() const;
@@ -100,7 +103,8 @@ struct AuditReport {
 AuditReport audit_journal(const std::vector<JournalEvent>& events, const JournalMeta& meta,
                           bool has_meta);
 
-/// Convenience: parse a JSONL document then audit it.
+/// Convenience: parse a JSONL document then audit it; a parse failure
+/// comes back in `error` with nothing audited.
 AuditReport audit_jsonl(const std::string& text);
 
 }  // namespace icc::obs

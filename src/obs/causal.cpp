@@ -4,10 +4,10 @@
 #include <cstring>
 #include <sstream>
 
-#include "obs/metrics.hpp"  // json_escape
 #include "obs/obs.hpp"
 #include "support/defer.hpp"
 #include "support/fingerprint.hpp"
+#include "support/json.hpp"
 
 namespace icc::obs {
 
@@ -197,6 +197,10 @@ CausalAnalyzer::CausalAnalyzer(Journal::Parsed parsed) : parsed_(std::move(parse
   report_.meta = parsed_.meta;
   report_.has_meta = parsed_.has_meta;
   report_.truncated = parsed_.has_meta && parsed_.meta.dropped > 0;
+  if (!parsed_.error.empty()) {
+    report_.error = "input-malformed: " + parsed_.error;
+    return;
+  }
   index();
   validate();
   if (report_.error.empty()) analyze();
@@ -489,11 +493,11 @@ std::string CritPathReport::to_json() const {
   std::ostringstream os;
   os << "{\"schema\":\"icc-critpath/v1\"";
   if (has_meta) {
-    os << ",\"protocol\":\"" << json_escape(meta.protocol) << "\",\"n\":" << meta.n
+    os << ",\"protocol\":\"" << support::json::escape(meta.protocol) << "\",\"n\":" << meta.n
        << ",\"t\":" << meta.t << ",\"seed\":" << meta.seed << ",\"journal_schema\":\""
-       << json_escape(meta.schema) << "\"";
+       << support::json::escape(meta.schema) << "\"";
   }
-  if (!error.empty()) os << ",\"error\":\"" << json_escape(error) << "\"";
+  if (!error.empty()) os << ",\"error\":\"" << support::json::escape(error) << "\"";
   if (truncated) os << ",\"truncated\":true";
   os << ",\"rounds_analyzed\":" << rounds_analyzed
      << ",\"rounds_complete\":" << rounds_complete;
@@ -545,7 +549,7 @@ std::string CritPathReport::to_json() const {
       os << "{\"kind\":\"" << kind_name(s.kind) << "\",\"from\":" << s.from
          << ",\"to\":" << s.to << ",\"start\":" << s.start << ",\"end\":" << s.end
          << ",\"us\":" << (s.end - s.start) << ",\"label\":\""
-         << json_escape(s.label ? s.label : "") << "\"}";
+         << support::json::escape(s.label ? s.label : "") << "\"}";
     }
     os << "]}";
   }

@@ -216,6 +216,7 @@ struct CritPathReport {
   JournalMeta meta;
   bool has_meta = false;
   /// Named analysis error; analysis stops when set. Names:
+  ///   input-malformed     — the journal did not parse (line named)
   ///   causal-no-edges     — journal carries no send/recv layer (v1)
   ///   causal-missing-send — a recv references an unjournaled send
   ///   causal-missing-recv — a receiver's delivery indices gap (deleted line)

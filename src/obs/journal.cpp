@@ -1,16 +1,19 @@
 #include "obs/journal.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
-#include "obs/metrics.hpp"  // json_escape
 #include "obs/obs.hpp"
+#include "support/bytes.hpp"
 #include "support/defer.hpp"
+#include "support/json.hpp"
 
 namespace icc::obs {
+
+namespace json = support::json;
 
 namespace {
 
@@ -38,87 +41,44 @@ const char* intern_string(const std::string& s) {
   return pool->back()->c_str();
 }
 
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-/// Find `"key":` in `line` and return the character offset just past the
-/// colon, or npos. Good enough for the journal's own output format (keys
-/// are never substrings of string values thanks to the quoted-colon form).
-size_t value_offset(const std::string& line, const char* key) {
-  std::string pat = std::string("\"") + key + "\":";
-  size_t at = line.find(pat);
-  return at == std::string::npos ? std::string::npos : at + pat.size();
-}
-
-bool parse_u64(const std::string& line, const char* key, uint64_t* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos) return false;
-  *out = std::strtoull(line.c_str() + at, nullptr, 10);
-  return true;
-}
-
-bool parse_i64(const std::string& line, const char* key, int64_t* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos) return false;
-  *out = std::strtoll(line.c_str() + at, nullptr, 10);
-  return true;
-}
-
-bool parse_string(const std::string& line, const char* key, std::string* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '"') return false;
-  size_t end = line.find('"', at + 1);
-  if (end == std::string::npos) return false;
-  *out = line.substr(at + 1, end - at - 1);
-  return true;
-}
-
-bool parse_u32_array(const std::string& line, const char* key, std::vector<uint32_t>* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '[') return false;
-  size_t end = line.find(']', at);
-  if (end == std::string::npos) return false;
-  out->clear();
-  const char* p = line.c_str() + at + 1;
-  const char* stop = line.c_str() + end;
-  while (p < stop) {
-    char* next = nullptr;
-    unsigned long v = std::strtoul(p, &next, 10);
-    if (next == p) break;
-    out->push_back(static_cast<uint32_t>(v));
-    p = next;
-    while (p < stop && (*p == ',' || *p == ' ')) ++p;
+/// Reads one event record; "" on success.
+std::string read_event(const json::Value& v, JournalEvent* ev) {
+  std::string type, detail, hex;
+  const std::string err = json::read_fields(
+      v, {{"type", &type}, {"detail", &detail}, {"ts", &ev->ts}, {"party", &ev->party},
+          {"peer", &ev->peer}, {"round", &ev->round}, {"proposer", &ev->proposer},
+          {"edge", &ev->edge}, {"hash", &hex}, {"signers", &ev->signers}, {"value", &ev->value}});
+  if (!err.empty()) return err;
+  if (type.empty() || type == "meta") return "not an event record";
+  if (hex.size() > 2 * ev->hash.size()) return "field \"hash\" is longer than 32 bytes";
+  try {
+    const Bytes hash = from_hex(hex);
+    if (!hash.empty()) ev->set_hash(hash.data(), hash.size());
+  } catch (const std::invalid_argument&) {
+    return "field \"hash\" is not hex";
   }
-  return true;
+  ev->type = intern_string(type);
+  if (!detail.empty()) ev->detail = intern_string(detail);
+  return {};
+}
+
+/// Reads the meta record; "" on success.
+std::string read_meta(const json::Value& v, JournalMeta* m) {
+  std::string type;
+  const std::string err = json::read_fields(
+      v, {{"type", &type}, {"schema", &m->schema}, {"n", &m->n}, {"t", &m->t},
+          {"protocol", &m->protocol}, {"seed", &m->seed}, {"dropped", &m->dropped}});
+  return err.empty() && type != "meta" ? "not a meta record" : err;
 }
 
 }  // namespace
-
-std::string hash_hex(const std::array<uint8_t, 32>& h) {
-  return bytes_hex(h.data(), h.size());
-}
 
 void JournalEvent::set_hash(const uint8_t* data, size_t len) {
   hash_len = static_cast<uint8_t>(len < hash.size() ? len : hash.size());
   std::memcpy(hash.data(), data, hash_len);
 }
 
-std::string JournalEvent::hash_hex() const {
-  return bytes_hex(hash.data(), hash_len);
-}
-
-std::string bytes_hex(const uint8_t* data, size_t len) {
-  std::string s(len * 2, '0');
-  for (size_t i = 0; i < len; ++i) {
-    s[2 * i] = kHexDigits[data[i] >> 4];
-    s[2 * i + 1] = kHexDigits[data[i] & 0xf];
-  }
-  return s;
-}
+std::string JournalEvent::hash_hex() const { return to_hex(BytesView(hash.data(), hash_len)); }
 
 // ---------------------------------------------------------------------------
 // Journal
@@ -165,17 +125,17 @@ std::string Journal::meta_json(const JournalMeta& meta, uint64_t event_count,
                                uint64_t dropped) {
   std::ostringstream os;
   os << "{\"type\":\"meta\",\"schema\":\""
-     << json_escape(meta.schema.empty() ? JournalMeta::kSchemaV1 : meta.schema)
+     << json::escape(meta.schema.empty() ? JournalMeta::kSchemaV1 : meta.schema)
      << "\",\"n\":" << meta.n
      << ",\"t\":" << meta.t << ",\"quorum\":" << meta.quorum() << ",\"protocol\":\""
-     << json_escape(meta.protocol) << "\",\"seed\":" << meta.seed
+     << json::escape(meta.protocol) << "\",\"seed\":" << meta.seed
      << ",\"events\":" << event_count << ",\"dropped\":" << dropped << "}";
   return os.str();
 }
 
 std::string Journal::event_json(const JournalEvent& ev, uint64_t seq) {
   std::ostringstream os;
-  os << "{\"seq\":" << seq << ",\"type\":\"" << json_escape(ev.type ? ev.type : "")
+  os << "{\"seq\":" << seq << ",\"type\":\"" << json::escape(ev.type ? ev.type : "")
      << "\",\"ts\":" << ev.ts;
   if (ev.party != JournalEvent::kNoParty) os << ",\"party\":" << ev.party;
   if (ev.peer != JournalEvent::kNoParty) os << ",\"peer\":" << ev.peer;
@@ -196,7 +156,7 @@ std::string Journal::event_json(const JournalEvent& ev, uint64_t seq) {
     }
     os << "]";
   }
-  if (ev.has_detail()) os << ",\"detail\":\"" << json_escape(ev.detail) << "\"";
+  if (ev.has_detail()) os << ",\"detail\":\"" << json::escape(ev.detail) << "\"";
   if (ev.value != JournalEvent::kNoValue) os << ",\"value\":" << ev.value;
   os << "}";
   return os.str();
@@ -211,74 +171,122 @@ std::string Journal::to_jsonl() const {
 }
 
 bool Journal::write_jsonl(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << to_jsonl();
-  return static_cast<bool>(out);
+  return support::json::write_file(path, to_jsonl());
 }
 
-std::optional<JournalEvent> Journal::parse_event_line(const std::string& line) {
-  std::string type;
-  if (!parse_string(line, "type", &type) || type.empty() || type == "meta")
-    return std::nullopt;
-  JournalEvent ev;
-  ev.type = intern_string(type);
-  parse_i64(line, "ts", &ev.ts);
-  uint64_t u = 0;
-  if (parse_u64(line, "party", &u)) ev.party = static_cast<uint32_t>(u);
-  if (parse_u64(line, "peer", &u)) ev.peer = static_cast<uint32_t>(u);
-  parse_u64(line, "round", &ev.round);
-  if (parse_u64(line, "proposer", &u)) ev.proposer = static_cast<uint32_t>(u);
-  parse_u64(line, "edge", &ev.edge);
-  std::string hex;
-  if (parse_string(line, "hash", &hex)) {
-    for (size_t i = 0; i + 1 < hex.size() && ev.hash_len < ev.hash.size(); i += 2) {
-      int hi = hex_nibble(hex[i]), lo = hex_nibble(hex[i + 1]);
-      if (hi < 0 || lo < 0) break;
-      ev.hash[ev.hash_len++] = static_cast<uint8_t>(hi << 4 | lo);
+std::string Journal::trace_json() const {
+  return "{\"traceEvents\":[" + trace_events_json(events_) +
+         "],\"metadata\":{\"journal_dropped\":" + std::to_string(dropped_) +
+         "},\"displayTimeUnit\":\"ms\"}";
+}
+
+std::string trace_events_json(const std::vector<JournalEvent>& events) {
+  using namespace journal_type;
+  constexpr uint32_t kLaneConsensus = 0, kLaneGossip = 1;
+  struct TraceEvent {
+    const char* name;
+    const char* cat;
+    char ph;  ///< 'X' span, 'i' instant
+    int64_t ts, dur;
+    uint32_t pid, tid;
+    const char* arg_key;  ///< nullptr = no args
+    int64_t arg;
+  };
+  using Hash = std::array<uint8_t, 32>;
+  // Per (party, round): entry time, the time the round could finish, and
+  // the round-r blocks / notarizations the party holds so far.
+  struct RoundTrack {
+    int64_t enter = -1;
+    int64_t done = -1;
+    bool emitted = false;
+    bool child_seen = false;  ///< saw a round-(r+1) proposal
+    std::set<Hash> blocks, notarized;
+  };
+  std::map<std::pair<uint32_t, uint64_t>, RoundTrack> rounds;
+  std::map<std::pair<uint32_t, Hash>, int64_t> pulls;  // armed pull -> advert ts
+  std::vector<TraceEvent> out;
+
+  // Events are emitted in the order the run completed them; the stable sort
+  // below keeps that order among equal start times.
+  auto finish_round = [&](uint32_t party, uint64_t round, int64_t now) {
+    RoundTrack& rt = rounds[{party, round}];
+    if (rt.done < 0) rt.done = now;
+    if (rt.emitted || rt.enter < 0) return;
+    rt.emitted = true;
+    out.push_back({"round", "consensus", 'X', rt.enter, std::max<int64_t>(0, rt.done - rt.enter),
+                   party, kLaneConsensus, "round", static_cast<int64_t>(round)});
+  };
+  auto hold = [&](const JournalEvent& e, bool block) {
+    RoundTrack& rt = rounds[{e.party, e.round}];
+    (block ? rt.blocks : rt.notarized).insert(e.hash);
+    if ((rt.blocks.count(e.hash) != 0 && rt.notarized.count(e.hash) != 0) ||
+        (block && rt.child_seen))
+      finish_round(e.party, e.round, e.ts);
+  };
+
+  for (const JournalEvent& e : events) {
+    if (e.party == JournalEvent::kNoParty) continue;
+    const char* t = e.type;
+    if (t == kRoundEnter) {
+      RoundTrack& rt = rounds[{e.party, e.round}];
+      if (rt.enter < 0) rt.enter = e.ts;
+      if (rt.done >= 0) finish_round(e.party, e.round, rt.done);
+    } else if (t == kPropose || t == kProposal) {
+      if (t == kPropose)
+        out.push_back({"propose", "consensus", 'i', e.ts, 0, e.party, kLaneConsensus, "round",
+                       static_cast<int64_t>(e.round)});
+      hold(e, true);
+      if (t == kProposal && e.round > 0) {
+        RoundTrack& parent = rounds[{e.party, e.round - 1}];
+        parent.child_seen = true;
+        if (!parent.blocks.empty()) finish_round(e.party, e.round - 1, e.ts);
+      }
+    } else if (t == kNotarAgg) {
+      hold(e, false);
+    } else if (t == kFinalized) {
+      out.push_back({"finalize", "consensus", 'i', e.ts, 0, e.party, kLaneConsensus, "round",
+                     static_cast<int64_t>(e.round)});
+    } else if (t == kGossipAdvert) {
+      // One advert per pending pull is journaled (the one that arms it).
+      pulls[{e.party, e.hash}] = e.ts;
+    } else if (t == kGossipRequest) {
+      if (e.value > 1)
+        out.push_back({"pull-retry", "gossip", 'i', e.ts, 0, e.party, kLaneGossip, nullptr, 0});
+    } else if (t == kGossipDeliver) {
+      auto it = pulls.find({e.party, e.hash});
+      if (it == pulls.end()) continue;
+      out.push_back({"fetch", "gossip", 'X', it->second, e.ts - it->second, e.party,
+                     kLaneGossip, "bytes", e.value});
+      pulls.erase(it);
     }
   }
-  parse_u32_array(line, "signers", &ev.signers);
-  std::string detail;
-  if (parse_string(line, "detail", &detail) && !detail.empty())
-    ev.detail = intern_string(detail);
-  parse_i64(line, "value", &ev.value);
-  return ev;
-}
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts < b.ts; });
 
-std::optional<JournalMeta> Journal::parse_meta_line(const std::string& line) {
-  std::string type;
-  if (!parse_string(line, "type", &type) || type != "meta") return std::nullopt;
-  JournalMeta m;
-  uint64_t u = 0;
-  if (parse_u64(line, "n", &u)) m.n = static_cast<uint32_t>(u);
-  if (parse_u64(line, "t", &u)) m.t = static_cast<uint32_t>(u);
-  parse_string(line, "protocol", &m.protocol);
-  parse_u64(line, "seed", &m.seed);
-  std::string schema;
-  if (parse_string(line, "schema", &schema) && !schema.empty()) m.schema = schema;
-  parse_u64(line, "dropped", &m.dropped);
-  return m;
+  std::ostringstream os;
+  for (size_t i = 0; i < out.size(); ++i) {
+    const TraceEvent& ev = out[i];
+    if (i) os << ",\n";
+    os << "{\"name\":\"" << ev.name << "\",\"cat\":\"" << ev.cat << "\",\"ph\":\"" << ev.ph
+       << "\",\"ts\":" << ev.ts;
+    if (ev.ph == 'X') os << ",\"dur\":" << ev.dur;
+    os << ",\"pid\":" << ev.pid << ",\"tid\":" << ev.tid;
+    if (ev.ph == 'i') os << ",\"s\":\"t\"";  // instant scope: thread
+    if (ev.arg_key) os << ",\"args\":{\"" << ev.arg_key << "\":" << ev.arg << "}";
+    os << "}";
+  }
+  return os.str();
 }
 
 Journal::Parsed Journal::parse_jsonl(const std::string& text) {
   Parsed out;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    if (!out.has_meta) {
-      if (auto meta = parse_meta_line(line)) {
-        out.meta = *meta;
-        out.has_meta = true;
-        continue;
-      }
-    }
-    if (auto ev = parse_event_line(line)) out.events.push_back(std::move(*ev));
-  }
+  out.error = json::for_each_line(text, [&out](const json::Value& v) {
+    if (out.has_meta) return read_event(v, &out.events.emplace_back());
+    std::string err = read_meta(v, &out.meta);
+    out.has_meta = err.empty();
+    return err;
+  });
+  if (out.error.empty() && !out.has_meta) out.error = "line 1: no meta record (empty input)";
   return out;
 }
 
@@ -291,53 +299,46 @@ void JournalScribe::attach(Obs* obs, uint32_t party) {
   party_ = party;
 }
 
-void JournalScribe::round_enter(uint64_t round, int64_t now) {
-  if (!journal_) return;
+JournalEvent JournalScribe::event(const char* type, uint64_t round, int64_t now) const {
   JournalEvent ev;
-  ev.type = journal_type::kRoundEnter;
+  ev.type = type;
   ev.ts = now;
   ev.party = party_;
   ev.round = round;
-  journal_->append(std::move(ev));
+  return ev;
+}
+
+JournalEvent JournalScribe::hashed(const char* type, uint64_t round,
+                                   const std::array<uint8_t, 32>& hash, int64_t now) const {
+  JournalEvent ev = event(type, round, now);
+  ev.set_hash(hash.data(), hash.size());
+  return ev;
+}
+
+JournalEvent JournalScribe::block(const char* type, uint64_t round, uint32_t proposer,
+                                  const std::array<uint8_t, 32>& hash, int64_t now) const {
+  JournalEvent ev = hashed(type, round, hash, now);
+  ev.proposer = proposer;
+  return ev;
+}
+
+void JournalScribe::round_enter(uint64_t round, int64_t now) {
+  if (journal_) journal_->append(event(journal_type::kRoundEnter, round, now));
 }
 
 void JournalScribe::proposal(uint64_t round, uint32_t proposer,
                              const std::array<uint8_t, 32>& hash, int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kProposal;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(block(journal_type::kProposal, round, proposer, hash, now));
 }
 
 void JournalScribe::propose(uint64_t round, const std::array<uint8_t, 32>& hash,
                             int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kPropose;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = party_;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(block(journal_type::kPropose, round, party_, hash, now));
 }
 
 void JournalScribe::notar_share(uint64_t round, uint32_t proposer,
                                 const std::array<uint8_t, 32>& hash, int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kNotarShare;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(block(journal_type::kNotarShare, round, proposer, hash, now));
 }
 
 void JournalScribe::notar_agg(uint64_t round, uint32_t proposer,
@@ -345,13 +346,7 @@ void JournalScribe::notar_agg(uint64_t round, uint32_t proposer,
                               std::vector<uint32_t> signers, const char* provenance,
                               int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kNotarAgg;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
+  JournalEvent ev = block(journal_type::kNotarAgg, round, proposer, hash, now);
   ev.signers = std::move(signers);
   ev.detail = provenance;
   journal_->append(std::move(ev));
@@ -359,15 +354,7 @@ void JournalScribe::notar_agg(uint64_t round, uint32_t proposer,
 
 void JournalScribe::final_share(uint64_t round, uint32_t proposer,
                                 const std::array<uint8_t, 32>& hash, int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kFinalShare;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(block(journal_type::kFinalShare, round, proposer, hash, now));
 }
 
 void JournalScribe::final_agg(uint64_t round, uint32_t proposer,
@@ -375,13 +362,7 @@ void JournalScribe::final_agg(uint64_t round, uint32_t proposer,
                               std::vector<uint32_t> signers, const char* provenance,
                               int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kFinalAgg;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
+  JournalEvent ev = block(journal_type::kFinalAgg, round, proposer, hash, now);
   ev.signers = std::move(signers);
   ev.detail = provenance;
   journal_->append(std::move(ev));
@@ -389,46 +370,22 @@ void JournalScribe::final_agg(uint64_t round, uint32_t proposer,
 
 void JournalScribe::finalized(uint64_t round, const std::array<uint8_t, 32>& hash,
                               int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kFinalized;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(hashed(journal_type::kFinalized, round, hash, now));
 }
 
 void JournalScribe::commit(uint64_t round, const std::array<uint8_t, 32>& hash,
                            int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kCommit;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(hashed(journal_type::kCommit, round, hash, now));
 }
 
 void JournalScribe::beacon_share(uint64_t round, int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kBeaconShare;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(event(journal_type::kBeaconShare, round, now));
 }
 
 void JournalScribe::beacon(uint64_t round, const std::vector<uint8_t>& value,
                            int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kBeacon;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
+  JournalEvent ev = event(journal_type::kBeacon, round, now);
   ev.set_hash(value.data(), value.size());
   journal_->append(std::move(ev));
 }
@@ -437,13 +394,7 @@ void JournalScribe::rbc_phase(uint64_t round, uint32_t proposer,
                               const std::array<uint8_t, 32>& hash, const char* phase,
                               int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kRbcPhase;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
+  JournalEvent ev = block(journal_type::kRbcPhase, round, proposer, hash, now);
   ev.detail = phase;
   journal_->append(std::move(ev));
 }
@@ -451,12 +402,7 @@ void JournalScribe::rbc_phase(uint64_t round, uint32_t proposer,
 void JournalScribe::gossip_deliver(uint64_t round, const std::array<uint8_t, 32>& artifact_id,
                                    uint64_t bytes, int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kGossipDeliver;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.set_hash(artifact_id.data(), artifact_id.size());
+  JournalEvent ev = hashed(journal_type::kGossipDeliver, round, artifact_id, now);
   ev.value = static_cast<int64_t>(bytes);
   journal_->append(std::move(ev));
 }
@@ -464,26 +410,16 @@ void JournalScribe::gossip_deliver(uint64_t round, const std::array<uint8_t, 32>
 void JournalScribe::gossip_advert(uint64_t round, const std::array<uint8_t, 32>& artifact_id,
                                   uint32_t advertiser, int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kGossipAdvert;
-  ev.ts = now;
-  ev.party = party_;
+  JournalEvent ev = hashed(journal_type::kGossipAdvert, round, artifact_id, now);
   ev.peer = advertiser;
-  ev.round = round;
-  ev.set_hash(artifact_id.data(), artifact_id.size());
   journal_->append(std::move(ev));
 }
 
 void JournalScribe::gossip_request(uint64_t round, const std::array<uint8_t, 32>& artifact_id,
                                    uint32_t target, int64_t attempt, int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kGossipRequest;
-  ev.ts = now;
-  ev.party = party_;
+  JournalEvent ev = hashed(journal_type::kGossipRequest, round, artifact_id, now);
   ev.peer = target;
-  ev.round = round;
-  ev.set_hash(artifact_id.data(), artifact_id.size());
   ev.value = attempt;
   journal_->append(std::move(ev));
 }

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,7 +108,7 @@ struct JournalMeta {
 
 /// Append-only event store with a capacity bound (events past the bound are
 /// counted, not stored — the meta line reports the drop count so exports
-/// are never silently partial, mirroring the trace ring).
+/// are never silently partial).
 class Journal {
  public:
   /// capacity 0 disables recording entirely (append() is a no-op).
@@ -153,6 +152,9 @@ class Journal {
   std::string to_jsonl() const;
   /// Write to_jsonl() to `path`; false on I/O error.
   bool write_jsonl(const std::string& path) const;
+  /// Chrome trace_event document rendered from the events (see
+  /// trace_events_json); the metadata carries the journal's drop count.
+  std::string trace_json() const;
 
   /// One event as a JSON object (fixed key order, absent fields omitted).
   static std::string event_json(const JournalEvent& ev, uint64_t seq);
@@ -160,18 +162,18 @@ class Journal {
   static std::string meta_json(const JournalMeta& meta, uint64_t event_count,
                                uint64_t dropped);
 
-  // --- parsing (tools/icc_audit, tests) ---
-  /// Parse one JSONL line into an event; nullopt for the meta line, blank
-  /// lines, or lines without a "type" key.
-  static std::optional<JournalEvent> parse_event_line(const std::string& line);
-  /// Parse a meta line; nullopt if `line` is not a meta record.
-  static std::optional<JournalMeta> parse_meta_line(const std::string& line);
+  // --- parsing (tools/icc_audit, tools/icc_critpath, tests) ---
   /// Parse a whole JSONL document (as produced by to_jsonl, or tampered
-  /// variants of it). Returns events plus the meta if present.
+  /// variants of it) through support/json: the meta line first, then
+  /// events; blank lines are skipped, unknown keys and event types kept.
+  /// Parsing stops at the first line that is not JSON, not the expected
+  /// record, or has a known field of the wrong type; `error` names that
+  /// line. A document with no meta line is an error too.
   struct Parsed {
     JournalMeta meta;
     bool has_meta = false;
     std::vector<JournalEvent> events;
+    std::string error;  ///< "" when the whole document parsed
   };
   static Parsed parse_jsonl(const std::string& text);
 
@@ -187,12 +189,21 @@ class Journal {
   uint64_t external_ = 0;  ///< slots reserved but not yet merged
 };
 
-/// Lowercase hex of a 32-byte digest (types::Hash without the dependency).
-std::string hash_hex(const std::array<uint8_t, 32>& h);
-/// Lowercase hex of arbitrary bytes (beacon values).
-std::string bytes_hex(const uint8_t* data, size_t len);
+/// Chrome trace_event objects (comma-joined, no envelope, sorted by ts)
+/// rendered from journal events; chrome://tracing and Perfetto open them.
+/// pid = party, tid = lane (0 consensus, 1 gossip), ts/dur = virtual µs.
+///   propose / finalize   instants at `propose` / `finalized` events
+///   pull-retry           instant at a `gossip_request` with attempt > 1
+///   fetch                span from the advert that armed an artifact's pull
+///                        (`gossip_advert`) to its `gossip_deliver` (bytes)
+///   round                span from `round_enter` to the first moment the
+///                        party holds a round-r block together with its
+///                        notarization, or sees a round-(r+1) proposal (an
+///                        ICC0 proposal carries its parent's notarization);
+///                        never earlier than `round_enter`
+std::string trace_events_json(const std::vector<JournalEvent>& events);
 
-class Obs;  // obs.hpp owns the Journal alongside the Registry and Tracer
+class Obs;  // obs.hpp owns the Journal alongside the Registry
 
 /// Per-subsystem emitter following the null-probe pattern: attach() wires it
 /// to the cluster journal when (and only when) journaling is on; every
@@ -244,6 +255,15 @@ class JournalScribe {
                       uint32_t target, int64_t attempt, int64_t now);
 
  private:
+  /// The fields every event carries, stamped with this party.
+  JournalEvent event(const char* type, uint64_t round, int64_t now) const;
+  /// ... plus a block/artifact hash.
+  JournalEvent hashed(const char* type, uint64_t round, const std::array<uint8_t, 32>& hash,
+                      int64_t now) const;
+  /// ... plus the proposer of the referenced block.
+  JournalEvent block(const char* type, uint64_t round, uint32_t proposer,
+                     const std::array<uint8_t, 32>& hash, int64_t now) const;
+
   Journal* journal_ = nullptr;
   uint32_t party_ = 0;
 };

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 #include "support/defer.hpp"
+#include "support/json.hpp"
 
 namespace icc::obs {
 
@@ -159,29 +159,6 @@ const Histogram* Registry::find_histogram(const std::string& name) const {
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string Registry::snapshot_json() const {
   std::ostringstream os;
   os << "{";
@@ -191,7 +168,7 @@ std::string Registry::snapshot_json() const {
   for (const auto& [name, c] : counters_) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << json_escape(name) << "\":" << c->value();
+    os << "\"" << support::json::escape(name) << "\":" << c->value();
   }
   os << "},";
 
@@ -200,7 +177,7 @@ std::string Registry::snapshot_json() const {
   for (const auto& [name, g] : gauges_) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << json_escape(name) << "\":" << g->value();
+    os << "\"" << support::json::escape(name) << "\":" << g->value();
   }
   os << "},";
 
@@ -209,7 +186,7 @@ std::string Registry::snapshot_json() const {
   for (const auto& [name, h] : histograms_) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << json_escape(name) << "\":{"
+    os << "\"" << support::json::escape(name) << "\":{"
        << "\"count\":" << h->count() << ",\"sum\":" << h->sum() << ",\"min\":" << h->min()
        << ",\"max\":" << h->max() << ",\"buckets\":[";
     const auto& bounds = h->bounds();

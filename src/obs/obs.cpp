@@ -12,10 +12,9 @@ std::vector<int64_t> duration_bounds() {
 // PartyProbe
 // ---------------------------------------------------------------------------
 
-void PartyProbe::attach(Obs* obs, uint32_t party, std::function<bool(uint32_t)> honesty) {
+void PartyProbe::attach(Obs* obs, std::function<bool(uint32_t)> honesty) {
   obs_ = obs;
   if (!obs_) return;
-  party_ = party;
   honesty_ = std::move(honesty);
   Registry& r = obs_->registry();
   rounds_ = &r.counter("consensus.rounds");
@@ -57,11 +56,9 @@ void PartyProbe::on_proposal_seen(uint64_t round, int64_t now) {
   propose_us_->record(now - s->start);
 }
 
-void PartyProbe::on_proposed(uint64_t round, int64_t now) {
+void PartyProbe::on_proposed() {
   if (!obs_) return;
   proposals_->add();
-  obs_->tracer().instant("propose", "consensus", party_, kLaneConsensus, now, "round",
-                         static_cast<int64_t>(round));
 }
 
 void PartyProbe::on_round_done(uint64_t round, uint32_t leader, bool leader_block,
@@ -81,9 +78,6 @@ void PartyProbe::on_round_done(uint64_t round, uint32_t leader, bool leader_bloc
     const int64_t dur = now - s->start;
     notarize_us_->record(dur);
     (honest ? round_us_honest_ : round_us_corrupt_)->record(dur);
-    obs_->tracer().complete("round", "consensus", party_, kLaneConsensus, s->start, dur,
-                            "round", static_cast<int64_t>(round), "leader",
-                            static_cast<int64_t>(leader));
   }
 }
 
@@ -93,8 +87,6 @@ void PartyProbe::on_finalized(uint64_t round, uint64_t gap, int64_t now) {
   finalize_gap_->record(static_cast<int64_t>(gap));
   RoundState* s = state(round);
   if (s && s->start >= 0) finalize_us_->record(now - s->start);
-  obs_->tracer().instant("finalize", "consensus", party_, kLaneConsensus, now, "round",
-                         static_cast<int64_t>(round));
 }
 
 void PartyProbe::on_commit(uint64_t /*round*/, int64_t /*now*/) {
@@ -112,10 +104,9 @@ void PartyProbe::on_rbc_delivered(uint64_t bytes) {
 // GossipProbe
 // ---------------------------------------------------------------------------
 
-void GossipProbe::attach(Obs* obs, uint32_t party) {
+void GossipProbe::attach(Obs* obs) {
   obs_ = obs;
   if (!obs_) return;
-  party_ = party;
   Registry& r = obs_->registry();
   adverts_ = &r.counter("gossip.adverts");
   requests_ = &r.counter("gossip.requests_sent");
@@ -133,13 +124,10 @@ void GossipProbe::on_advert(int64_t pending_depth) {
   pending_->set(pending_depth);
 }
 
-void GossipProbe::on_request_sent(bool retry, int64_t now) {
+void GossipProbe::on_request_sent(bool retry) {
   if (!obs_) return;
   requests_->add();
-  if (retry) {
-    retries_->add();
-    obs_->tracer().instant("pull-retry", "gossip", party_, kLaneGossip, now);
-  }
+  if (retry) retries_->add();
 }
 
 void GossipProbe::on_request_served(uint64_t bytes) {
@@ -148,13 +136,9 @@ void GossipProbe::on_request_served(uint64_t bytes) {
   served_bytes_->add(bytes);
 }
 
-void GossipProbe::on_fetched(uint64_t bytes, int64_t first_advert_at, int64_t now) {
+void GossipProbe::on_fetched(int64_t first_advert_at, int64_t now) {
   if (!obs_) return;
-  if (first_advert_at >= 0) {
-    fetch_us_->record(now - first_advert_at);
-    obs_->tracer().complete("fetch", "gossip", party_, kLaneGossip, first_advert_at,
-                            now - first_advert_at, "bytes", static_cast<int64_t>(bytes));
-  }
+  if (first_advert_at >= 0) fetch_us_->record(now - first_advert_at);
 }
 
 void GossipProbe::on_artifact_retired(uint64_t serves) {

@@ -1,5 +1,7 @@
 // Run-level telemetry: one Obs object per cluster bundles a metrics
-// Registry and a virtual-time span Tracer behind a single enable switch.
+// Registry, the event journal and the optional recorders behind a single
+// enable switch. The Chrome trace is not recorded separately: it is
+// rendered from the journal (obs/journal.hpp, trace_events_json).
 //
 // Probes follow the support/log.hpp discipline: disabled telemetry costs a
 // null-pointer check at each probe site (parties are handed a null Obs*, so
@@ -22,13 +24,11 @@
 #include "obs/metrics.hpp"
 #include "obs/runtime.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 
 namespace icc::obs {
 
 struct ObsConfig {
-  bool enabled = false;          ///< master switch; false = all probes off
-  size_t trace_capacity = 1 << 16;  ///< span-tracer ring slots (0 = no tracing)
+  bool enabled = false;  ///< master switch; false = all probes off
   /// Wall-clock histograms for the ingress-pipeline decode/verify stages
   /// (~2 steady_clock reads per payload — opt-in so default telemetry stays
   /// within the <5% overhead budget; see EXPERIMENTS.md F-OBS).
@@ -65,7 +65,6 @@ class Obs {
  public:
   explicit Obs(const ObsConfig& config)
       : config_(config),
-        tracer_(config.enabled ? config.trace_capacity : 0),
         journal_((config.enabled && config.journal) ? config.journal_capacity : 0) {
     if (config.enabled && config.runtime)
       runtime_ = std::make_unique<RuntimeProfiler>(config.runtime_span_capacity);
@@ -82,8 +81,6 @@ class Obs {
   const ObsConfig& config() const { return config_; }
   Registry& registry() { return registry_; }
   const Registry& registry() const { return registry_; }
-  Tracer& tracer() { return tracer_; }
-  const Tracer& tracer() const { return tracer_; }
   /// Cluster-wide flight recorder; null when journaling is off, so scribes
   /// (JournalScribe::attach) null-attach exactly like probes do.
   Journal* journal() { return journal_.enabled() ? &journal_ : nullptr; }
@@ -99,7 +96,6 @@ class Obs {
  private:
   ObsConfig config_;
   Registry registry_;
-  Tracer tracer_;
   Journal journal_;
   std::unique_ptr<RuntimeProfiler> runtime_;
   std::unique_ptr<TimeSeries> series_;
@@ -121,7 +117,7 @@ class PartyProbe {
   /// `honesty` tags rounds by the actual corruption status of the rank-0
   /// leader (supplied by the harness, which knows the corrupt slots);
   /// without it rounds are tagged by the party-observable proxy only.
-  void attach(Obs* obs, uint32_t party, std::function<bool(uint32_t)> honesty);
+  void attach(Obs* obs, std::function<bool(uint32_t)> honesty);
   bool on() const { return obs_ != nullptr; }
 
   /// Beacon ready, round started (Fig. 1 clause evaluation begins).
@@ -129,7 +125,7 @@ class PartyProbe {
   /// First valid proposal for `round` entered the pool.
   void on_proposal_seen(uint64_t round, int64_t now);
   /// This party proposed (clause (b)).
-  void on_proposed(uint64_t round, int64_t now);
+  void on_proposed();
   /// Round finished (clause (a)): a round-`round` notarization exists.
   /// `leader` is the rank-0 party; `leader_block` whether the notarized
   /// block is the leader's; `clean` whether N ⊆ {B} held (finalization
@@ -153,7 +149,6 @@ class PartyProbe {
   RoundState* state(uint64_t round);
 
   Obs* obs_ = nullptr;
-  uint32_t party_ = 0;
   std::function<bool(uint32_t)> honesty_;
 
   Counter* rounds_ = nullptr;
@@ -183,15 +178,15 @@ class PartyProbe {
 class GossipProbe {
  public:
   GossipProbe() = default;
-  void attach(Obs* obs, uint32_t party);
+  void attach(Obs* obs);
   bool on() const { return obs_ != nullptr; }
 
   void on_advert(int64_t pending_depth);
-  void on_request_sent(bool retry, int64_t now);
+  void on_request_sent(bool retry);
   /// We uploaded an artifact to a requester (delivery fan-out).
   void on_request_served(uint64_t bytes);
   /// A pending artifact arrived; first-advert → stored is the fetch latency.
-  void on_fetched(uint64_t bytes, int64_t first_advert_at, int64_t now);
+  void on_fetched(int64_t first_advert_at, int64_t now);
   /// An artifact left the store (pruned); `serves` = how many requesters we
   /// uploaded it to over its lifetime — the per-artifact delivery fan-out.
   void on_artifact_retired(uint64_t serves);
@@ -199,7 +194,6 @@ class GossipProbe {
 
  private:
   Obs* obs_ = nullptr;
-  uint32_t party_ = 0;
   Counter* adverts_ = nullptr;
   Counter* requests_ = nullptr;
   Counter* retries_ = nullptr;

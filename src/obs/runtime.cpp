@@ -1,7 +1,6 @@
 #include "obs/runtime.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -10,8 +9,7 @@
 #include <sstream>
 #include <string>
 
-#include "obs/metrics.hpp"  // json_escape
-#include "obs/trace.hpp"
+#include "support/json.hpp"
 #include "support/log.hpp"
 
 #if defined(__linux__)
@@ -279,28 +277,22 @@ RuntimeReport RuntimeProfiler::make_report() const {
 }
 
 // ---------------------------------------------------------------------------
-// Chrome trace export (merged with the virtual-time tracer)
+// Chrome trace export (merged with the journal's virtual-time events)
 // ---------------------------------------------------------------------------
 
-std::string RuntimeProfiler::trace_json(const Tracer* virtual_tracer) const {
+std::string RuntimeProfiler::trace_json(const std::string& virtual_events,
+                                        uint64_t journal_dropped) const {
   // One process for all wall-clock lanes, far above any party index the
-  // virtual tracer uses as pid.
+  // virtual-time events use as pid.
   constexpr uint32_t kRuntimePid = 1'000'000;
   std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
+  os << "{\"traceEvents\":[" << virtual_events;
+  bool first = virtual_events.empty();
   auto emit = [&](const std::string& ev) {
     if (!first) os << ",\n";
     first = false;
     os << ev;
   };
-  if (virtual_tracer != nullptr) {
-    std::string inner = virtual_tracer->events_json();
-    if (!inner.empty()) {
-      os << inner;
-      first = false;
-    }
-  }
   emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" + std::to_string(kRuntimePid) +
        ",\"tid\":0,\"args\":{\"name\":\"icc-runtime (wall-clock, non-deterministic)\"}}");
 
@@ -327,13 +319,8 @@ std::string RuntimeProfiler::trace_json(const Tracer* virtual_tracer) const {
       emit(ev.str());
     }
   }
-  os << "],\"metadata\":{";
-  if (virtual_tracer != nullptr) {
-    os << "\"recorded\":" << virtual_tracer->recorded()
-       << ",\"dropped\":" << virtual_tracer->dropped()
-       << ",\"capacity\":" << virtual_tracer->capacity() << ",";
-  }
-  os << "\"runtime\":{\"recorded\":" << recorded << ",\"dropped\":" << dropped
+  os << "],\"metadata\":{\"journal_dropped\":" << journal_dropped
+     << ",\"runtime\":{\"recorded\":" << recorded << ",\"dropped\":" << dropped
      << ",\"lane_capacity\":" << span_capacity_ << "}},\"displayTimeUnit\":\"ms\"}";
   return os.str();
 }
@@ -359,7 +346,7 @@ std::string runtime_report_json(const RuntimeReport& rep) {
   for (size_t i = 0; i < rep.workers.size(); ++i) {
     const WorkerReport& w = rep.workers[i];
     if (i) os << ",";
-    os << "\n {\"name\":\"" << json_escape(w.name) << "\",\"busy_ns\":" << w.busy_ns
+    os << "\n {\"name\":\"" << support::json::escape(w.name) << "\",\"busy_ns\":" << w.busy_ns
        << ",\"idle_ns\":" << w.idle_ns << ",\"cpu_ns\":" << w.cpu_ns
        << ",\"claimed\":" << w.claimed << ",\"stolen\":" << w.stolen
        << ",\"spans_recorded\":" << w.spans_recorded
@@ -391,231 +378,92 @@ std::string runtime_report_json(const RuntimeReport& rep) {
   return os.str();
 }
 
-// --- minimal recursive-descent parser for exactly this schema ---
+// --- parsing, through the shared strict reader (support/json.hpp) ---
 
 namespace {
 
-struct Cursor {
-  const char* p;
-  const char* end;
-  std::string* err;
+namespace json = support::json;
 
-  bool fail(const std::string& msg) {
-    if (err != nullptr && err->empty()) {
-      *err = msg + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-  size_t pos_ = 0;
-  void advance(size_t k) {
-    p += k;
-    pos_ += k;
-  }
-  void skip_ws() {
-    while (p < end && (std::isspace(static_cast<unsigned char>(*p)) != 0)) advance(1);
-  }
-  bool lit(char c) {
-    skip_ws();
-    if (p >= end || *p != c) return fail(std::string("expected '") + c + "'");
-    advance(1);
+template <size_t N>
+int name_index(const std::string& name, const char* const (&names)[N]) {
+  for (size_t k = 0; k < N; ++k)
+    if (name == names[k]) return static_cast<int>(k);
+  return -1;
+}
+
+/// True when `v` is an array and `read(item)` accepts every item.
+template <typename Read>
+bool read_items(const json::Value& v, Read&& read) {
+  if (v.type != json::Value::Type::kArray) return false;
+  for (const json::Value& item : v.array)
+    if (!read(item)) return false;
+  return true;
+}
+
+bool read_worker(const json::Value& v, WorkerReport* w) {
+  // Unknown task kinds and lock sites: forward compatibility, ignored.
+  auto task = [w](const json::Value& t) {
+    std::string kind;
+    TaskAgg agg;
+    if (!json::read_fields(t, {{"kind", &kind}, {"count", &agg.count},
+                               {"total_ns", &agg.total_ns}, {"exclusive_ns", &agg.exclusive_ns},
+                               {"max_ns", &agg.max_ns}})
+             .empty())
+      return false;
+    if (const int k = name_index(kind, kTaskNames); k >= 0) w->tasks[static_cast<size_t>(k)] = agg;
     return true;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-};
-
-bool parse_string(Cursor& c, std::string* out) {
-  if (!c.lit('"')) return false;
-  out->clear();
-  while (c.p < c.end && *c.p != '"') {
-    if (*c.p == '\\') {
-      c.advance(1);
-      if (c.p >= c.end) return c.fail("truncated escape");
-    }
-    out->push_back(*c.p);
-    c.advance(1);
-  }
-  if (c.p >= c.end) return c.fail("unterminated string");
-  c.advance(1);
-  return true;
+  };
+  auto lock = [w](const json::Value& l) {
+    std::string site;
+    LockStat st;
+    if (!json::read_fields(l, {{"site", &site}, {"acquisitions", &st.acquisitions},
+                               {"contended", &st.contended}, {"wait_ns", &st.wait_ns},
+                               {"max_wait_ns", &st.max_wait_ns}})
+             .empty())
+      return false;
+    if (const int k = name_index(site, kLockNames); k >= 0) w->locks[static_cast<size_t>(k)] = st;
+    return true;
+  };
+  return json::read_fields(
+             v, {{"name", &w->name},
+                 {"busy_ns", &w->busy_ns},
+                 {"idle_ns", &w->idle_ns},
+                 {"cpu_ns", &w->cpu_ns},
+                 {"claimed", &w->claimed},
+                 {"stolen", &w->stolen},
+                 {"spans_recorded", &w->spans_recorded},
+                 {"spans_dropped", &w->spans_dropped},
+                 {"tasks", [&](const json::Value& x) { return read_items(x, task); }},
+                 {"locks", [&](const json::Value& x) { return read_items(x, lock); }}})
+      .empty();
 }
 
-bool parse_i64(Cursor& c, int64_t* out) {
-  c.skip_ws();
-  char* endp = nullptr;
-  const long long v = std::strtoll(c.p, &endp, 10);
-  if (endp == c.p || endp > c.end) return c.fail("expected integer");
-  c.advance(static_cast<size_t>(endp - c.p));
-  *out = v;
-  return true;
-}
-
-bool skip_value(Cursor& c);
-
-bool skip_composite(Cursor& c, char open, char close) {
-  if (!c.lit(open)) return false;
-  if (c.peek(close)) return c.lit(close);
-  for (;;) {
-    if (open == '{') {
-      std::string key;
-      if (!parse_string(c, &key) || !c.lit(':')) return false;
-    }
-    if (!skip_value(c)) return false;
-    if (c.peek(',')) {
-      c.lit(',');
-      continue;
-    }
-    return c.lit(close);
-  }
-}
-
-bool skip_value(Cursor& c) {
-  c.skip_ws();
-  if (c.p >= c.end) return c.fail("truncated value");
-  switch (*c.p) {
-    case '{': return skip_composite(c, '{', '}');
-    case '[': return skip_composite(c, '[', ']');
-    case '"': {
-      std::string s;
-      return parse_string(c, &s);
-    }
-    default: {
-      const char* start = c.p;
-      while (c.p < c.end && std::strchr(",]}\n\r\t ", *c.p) == nullptr) c.advance(1);
-      if (c.p == start) return c.fail("truncated value");
-      return true;
-    }
-  }
-}
-
-/// Parse an object, dispatching each key to `field(key)`; `field` must
-/// consume the value (or return false on error). Unknown keys are skipped by
-/// the caller returning skip_value.
-template <typename FieldFn>
-bool parse_object(Cursor& c, FieldFn&& field) {
-  if (!c.lit('{')) return false;
-  if (c.peek('}')) return c.lit('}');
-  for (;;) {
-    std::string key;
-    if (!parse_string(c, &key) || !c.lit(':')) return false;
-    if (!field(key)) return false;
-    if (c.peek(',')) {
-      c.lit(',');
-      continue;
-    }
-    return c.lit('}');
-  }
-}
-
-template <typename ItemFn>
-bool parse_array(Cursor& c, ItemFn&& item) {
-  if (!c.lit('[')) return false;
-  if (c.peek(']')) return c.lit(']');
-  for (;;) {
-    if (!item()) return false;
-    if (c.peek(',')) {
-      c.lit(',');
-      continue;
-    }
-    return c.lit(']');
-  }
-}
-
-int kind_index(const std::string& name) {
-  for (size_t k = 0; k < kTaskKinds; ++k) {
-    if (name == kTaskNames[k]) return static_cast<int>(k);
-  }
-  return -1;
-}
-
-int site_index(const std::string& name) {
-  for (size_t k = 0; k < kLockSites; ++k) {
-    if (name == kLockNames[k]) return static_cast<int>(k);
-  }
-  return -1;
-}
-
-bool parse_worker(Cursor& c, WorkerReport* w) {
-  return parse_object(c, [&](const std::string& key) -> bool {
-    int64_t v = 0;
-    if (key == "name") return parse_string(c, &w->name);
-    if (key == "busy_ns") return parse_i64(c, &w->busy_ns);
-    if (key == "idle_ns") return parse_i64(c, &w->idle_ns);
-    if (key == "cpu_ns") return parse_i64(c, &w->cpu_ns);
-    if (key == "claimed") {
-      if (!parse_i64(c, &v)) return false;
-      w->claimed = static_cast<uint64_t>(v);
-      return true;
-    }
-    if (key == "stolen") {
-      if (!parse_i64(c, &v)) return false;
-      w->stolen = static_cast<uint64_t>(v);
-      return true;
-    }
-    if (key == "spans_recorded") {
-      if (!parse_i64(c, &v)) return false;
-      w->spans_recorded = static_cast<uint64_t>(v);
-      return true;
-    }
-    if (key == "spans_dropped") {
-      if (!parse_i64(c, &v)) return false;
-      w->spans_dropped = static_cast<uint64_t>(v);
-      return true;
-    }
-    if (key == "tasks") {
-      return parse_array(c, [&]() -> bool {
-        std::string kind;
-        TaskAgg agg;
-        if (!parse_object(c, [&](const std::string& tk) -> bool {
-              int64_t tv = 0;
-              if (tk == "kind") return parse_string(c, &kind);
-              if (tk == "count") {
-                if (!parse_i64(c, &tv)) return false;
-                agg.count = static_cast<uint64_t>(tv);
-                return true;
-              }
-              if (tk == "total_ns") return parse_i64(c, &agg.total_ns);
-              if (tk == "exclusive_ns") return parse_i64(c, &agg.exclusive_ns);
-              if (tk == "max_ns") return parse_i64(c, &agg.max_ns);
-              return skip_value(c);
-            }))
-          return false;
-        const int idx = kind_index(kind);
-        if (idx >= 0) w->tasks[static_cast<size_t>(idx)] = agg;
-        return true;  // unknown kinds: forward compatibility, ignore
-      });
-    }
-    if (key == "locks") {
-      return parse_array(c, [&]() -> bool {
-        std::string site;
-        LockStat st;
-        if (!parse_object(c, [&](const std::string& lk) -> bool {
-              int64_t lv = 0;
-              if (lk == "site") return parse_string(c, &site);
-              if (lk == "acquisitions") {
-                if (!parse_i64(c, &lv)) return false;
-                st.acquisitions = static_cast<uint64_t>(lv);
-                return true;
-              }
-              if (lk == "contended") {
-                if (!parse_i64(c, &lv)) return false;
-                st.contended = static_cast<uint64_t>(lv);
-                return true;
-              }
-              if (lk == "wait_ns") return parse_i64(c, &st.wait_ns);
-              if (lk == "max_wait_ns") return parse_i64(c, &st.max_wait_ns);
-              return skip_value(c);
-            }))
-          return false;
-        const int idx = site_index(site);
-        if (idx >= 0) w->locks[static_cast<size_t>(idx)] = st;
-        return true;
-      });
-    }
-    return skip_value(c);
-  });
+std::string read_report(const json::Value& v, RuntimeReport* rep) {
+  std::string schema;
+  auto intern = [rep](const json::Value& x) {
+    rep->has_intern = true;
+    return json::read_fields(x, {{"parses", &rep->intern_parses},
+                                 {"decode_hits", &rep->intern_decode_hits},
+                                 {"real_verifications", &rep->intern_real_verifications},
+                                 {"memo_hits", &rep->intern_memo_hits},
+                                 {"primed", &rep->intern_primed}})
+        .empty();
+  };
+  auto workers = [rep](const json::Value& x) {
+    return read_items(x, [rep](const json::Value& w) {
+      return read_worker(w, &rep->workers.emplace_back());
+    });
+  };
+  std::string err = json::read_fields(
+      v, {{"schema", &schema}, {"threads", &rep->threads}, {"wall_ns", &rep->wall_ns},
+          {"defer_high_water", &rep->defer_high_water}, {"rss_kb", &rep->rss_kb},
+          {"peak_rss_kb", &rep->peak_rss_kb}, {"intern", intern}, {"workers", workers}});
+  if (!err.empty()) return err;
+  if (schema.empty()) return "missing schema field";
+  if (schema != "icc-runtime/v1") return "unsupported schema \"" + schema + "\"";
+  if (rep->wall_ns <= 0) return "non-positive wall_ns";
+  if (rep->threads == 0) return "zero threads";
+  return {};
 }
 
 }  // namespace
@@ -625,71 +473,11 @@ std::optional<RuntimeReport> parse_runtime_report(const std::string& json,
   std::string local_err;
   std::string* err = error != nullptr ? error : &local_err;
   err->clear();
-  Cursor c{json.data(), json.data() + json.size(), err};
+  support::json::Value v;
   RuntimeReport rep;
-  bool saw_schema = false;
-  const bool ok = parse_object(c, [&](const std::string& key) -> bool {
-    int64_t v = 0;
-    if (key == "schema") {
-      std::string s;
-      if (!parse_string(c, &s)) return false;
-      if (s != "icc-runtime/v1") return c.fail("unsupported schema \"" + s + "\"");
-      saw_schema = true;
-      return true;
-    }
-    if (key == "threads") {
-      if (!parse_i64(c, &v)) return false;
-      rep.threads = static_cast<uint32_t>(v);
-      return true;
-    }
-    if (key == "wall_ns") return parse_i64(c, &rep.wall_ns);
-    if (key == "defer_high_water") {
-      if (!parse_i64(c, &v)) return false;
-      rep.defer_high_water = static_cast<uint64_t>(v);
-      return true;
-    }
-    if (key == "rss_kb") return parse_i64(c, &rep.rss_kb);
-    if (key == "peak_rss_kb") return parse_i64(c, &rep.peak_rss_kb);
-    if (key == "intern") {
-      rep.has_intern = true;
-      return parse_object(c, [&](const std::string& ik) -> bool {
-        int64_t iv = 0;
-        auto u64 = [&](uint64_t* dst) {
-          if (!parse_i64(c, &iv)) return false;
-          *dst = static_cast<uint64_t>(iv);
-          return true;
-        };
-        if (ik == "parses") return u64(&rep.intern_parses);
-        if (ik == "decode_hits") return u64(&rep.intern_decode_hits);
-        if (ik == "real_verifications") return u64(&rep.intern_real_verifications);
-        if (ik == "memo_hits") return u64(&rep.intern_memo_hits);
-        if (ik == "primed") return u64(&rep.intern_primed);
-        return skip_value(c);
-      });
-    }
-    if (key == "workers") {
-      return parse_array(c, [&]() -> bool {
-        WorkerReport w;
-        if (!parse_worker(c, &w)) return false;
-        rep.workers.push_back(std::move(w));
-        return true;
-      });
-    }
-    return skip_value(c);
-  });
-  if (!ok) return std::nullopt;
-  if (!saw_schema) {
-    c.fail("missing schema field");
-    return std::nullopt;
-  }
-  if (rep.wall_ns <= 0) {
-    c.fail("non-positive wall_ns");
-    return std::nullopt;
-  }
-  if (rep.threads == 0) {
-    c.fail("zero threads");
-    return std::nullopt;
-  }
+  if (!support::json::parse(json, &v, err)) return std::nullopt;
+  *err = read_report(v, &rep);
+  if (!err->empty()) return std::nullopt;
   return rep;
 }
 

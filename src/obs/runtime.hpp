@@ -33,7 +33,8 @@
 // Exports: an `icc-runtime/v1` JSON report (parse_runtime_report /
 // analyze_runtime round-trip it, tools/icc_runtime consumes it offline) and
 // a Chrome trace with one track per lane that trace_json() places
-// side-by-side with the virtual-time Tracer output in one trace container.
+// side-by-side with the virtual-time events rendered from the journal in
+// one trace container.
 #pragma once
 
 #include <array>
@@ -49,8 +50,6 @@
 #include "support/executor.hpp"
 
 namespace icc::obs {
-
-class Tracer;
 
 /// Span kinds recorded by the instrumented subsystems. Order is the wire
 /// order of the report's per-kind arrays — append only.
@@ -202,11 +201,11 @@ class RuntimeProfiler final : public support::TaskProbe {
   RuntimeReport make_report() const;
 
   /// Chrome trace of the span rings: one pid ("icc-runtime"), one tid per
-  /// lane, wall-clock µs since profiler start. When `virtual_tracer` is
-  /// non-null its virtual-time events are merged into the same
+  /// lane, wall-clock µs since profiler start. `virtual_events` (the
+  /// journal's trace_events_json, possibly empty) are merged into the same
   /// {"traceEvents": ...} container (distinct pids), so one file shows both
-  /// clocks side by side.
-  std::string trace_json(const Tracer* virtual_tracer) const;
+  /// clocks side by side; `journal_dropped` goes into the metadata.
+  std::string trace_json(const std::string& virtual_events, uint64_t journal_dropped) const;
 
  private:
   struct Span {

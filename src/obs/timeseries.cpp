@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "support/defer.hpp"
+#include "support/json.hpp"
 
 namespace icc::obs {
 
@@ -26,104 +27,65 @@ void proc_rss_kb(int64_t* rss_kb, int64_t* peak_kb) {
 #endif
 }
 
-// --- line parsing (same convention as obs/journal.cpp: good enough for the
-// recorder's own output — keys always carry the quoted-colon form) ---
+namespace json = support::json;
 
-size_t value_offset(const std::string& line, const char* key) {
-  std::string pat = std::string("\"") + key + "\":";
-  size_t at = line.find(pat);
-  return at == std::string::npos ? std::string::npos : at + pat.size();
-}
-
-bool parse_u64(const std::string& line, const char* key, uint64_t* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos) return false;
-  *out = std::strtoull(line.c_str() + at, nullptr, 10);
-  return true;
-}
-
-bool parse_i64(const std::string& line, const char* key, int64_t* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos) return false;
-  *out = std::strtoll(line.c_str() + at, nullptr, 10);
-  return true;
-}
-
-bool parse_string(const std::string& line, const char* key, std::string* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '"') return false;
-  size_t end = line.find('"', at + 1);
-  if (end == std::string::npos) return false;
-  *out = line.substr(at + 1, end - at - 1);
-  return true;
-}
-
-/// Substring of the {...} or [...] value starting at `at` (depth-matched,
-/// delimiters included); empty on malformed input.
-std::string nested_span(const std::string& line, size_t at) {
-  if (at == std::string::npos || at >= line.size()) return {};
-  const char open = line[at];
-  const char close = open == '{' ? '}' : open == '[' ? ']' : '\0';
-  if (close == '\0') return {};
-  int depth = 0;
-  for (size_t i = at; i < line.size(); ++i) {
-    if (line[i] == open) depth++;
-    else if (line[i] == close && --depth == 0) return line.substr(at, i - at + 1);
-  }
-  return {};
-}
-
-/// Parse a flat {"name":int,...} object into name/value pairs.
+/// Reads a {"name": int, ...} object into name/value pairs.
 template <typename Int>
-void parse_flat_map(const std::string& span,
-                    std::vector<std::pair<std::string, Int>>* out) {
-  size_t p = 0;
-  while ((p = span.find('"', p)) != std::string::npos) {
-    size_t end = span.find('"', p + 1);
-    if (end == std::string::npos) return;
-    std::string name = span.substr(p + 1, end - p - 1);
-    size_t colon = span.find(':', end);
-    if (colon == std::string::npos) return;
-    out->emplace_back(std::move(name),
-                      static_cast<Int>(std::strtoll(span.c_str() + colon + 1, nullptr, 10)));
-    p = span.find(',', colon);
-    if (p == std::string::npos) return;
-  }
+bool read_named(const json::Value& v, std::vector<std::pair<std::string, Int>>* out) {
+  if (!v.is_object()) return false;
+  for (const auto& [name, value] : v.object)
+    if (!value.get(&out->emplace_back(name, Int{}).second)) return false;
+  return true;
 }
 
-/// Parse [[a,b],...] into pairs.
-void parse_pair_array(const std::string& span,
-                      std::vector<std::pair<uint32_t, uint64_t>>* out) {
-  size_t p = 0;
-  while ((p = span.find('[', p + 1)) != std::string::npos) {
-    char* next = nullptr;
-    const uint32_t a =
-        static_cast<uint32_t>(std::strtoul(span.c_str() + p + 1, &next, 10));
-    if (next == span.c_str() + p + 1 || *next != ',') return;
-    const uint64_t b = std::strtoull(next + 1, nullptr, 10);
-    out->emplace_back(a, b);
-    p = span.find(']', p);
-    if (p == std::string::npos) return;
-  }
-}
-
-bool parse_u32_array(const std::string& line, const char* key, std::vector<uint32_t>* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '[') return false;
-  size_t end = line.find(']', at);
-  if (end == std::string::npos) return false;
-  out->clear();
-  const char* p = line.c_str() + at + 1;
-  const char* stop = line.c_str() + end;
-  while (p < stop) {
-    char* next = nullptr;
-    unsigned long v = std::strtoul(p, &next, 10);
-    if (next == p) break;
-    out->push_back(static_cast<uint32_t>(v));
-    p = next;
-    while (p < stop && (*p == ',' || *p == ' ')) ++p;
+bool read_leaders(const json::Value& v, std::vector<std::pair<uint32_t, uint64_t>>* out) {
+  if (v.type != json::Value::Type::kArray) return false;
+  for (const json::Value& pair : v.array) {
+    auto& [party, led] = out->emplace_back();
+    if (pair.array.size() != 2 || !pair.array[0].get(&party) || !pair.array[1].get(&led))
+      return false;
   }
   return true;
+}
+
+bool read_hists(const json::Value& v, std::vector<std::pair<std::string, SeriesHist>>* out) {
+  if (!v.is_object()) return false;
+  for (const auto& [name, value] : v.object) {
+    SeriesHist& h = out->emplace_back(name, SeriesHist{}).second;
+    if (!json::read_fields(value, {{"count", &h.count}, {"sum", &h.sum}, {"p50", &h.p50},
+                                   {"p90", &h.p90}, {"p99", &h.p99}, {"max_le", &h.max_le}})
+             .empty())
+      return false;
+  }
+  return true;
+}
+
+std::string read_meta(const json::Value& v, SeriesMeta* m) {
+  std::string type;
+  uint64_t wall = 0;
+  const std::string err = json::read_fields(
+      v, {{"type", &type}, {"n", &m->n}, {"t", &m->t}, {"protocol", &m->protocol},
+          {"seed", &m->seed}, {"window_us", &m->window_us}, {"full_res", &m->full_res},
+          {"wall", &wall}, {"corrupt", &m->corrupt}});
+  m->wall = wall != 0;
+  return err.empty() && type != "meta" ? "expected the meta record first" : err;
+}
+
+std::string read_window(const json::Value& v, SeriesWindow* w) {
+  return json::read_fields(
+      v, {{"seq", &w->seq},
+          {"start_us", &w->start_us},
+          {"end_us", &w->end_us},
+          {"res", &w->res},
+          {"rounds", &w->rounds},
+          {"leader_block", &w->leader_block},
+          {"clean", &w->clean},
+          {"honest_leader", &w->honest_leader},
+          {"corrupt_leader", &w->corrupt_leader},
+          {"leaders", [w](const json::Value& x) { return read_leaders(x, &w->leaders); }},
+          {"counters", [w](const json::Value& x) { return read_named(x, &w->counters); }},
+          {"gauges", [w](const json::Value& x) { return read_named(x, &w->gauges); }},
+          {"hist", [w](const json::Value& x) { return read_hists(x, &w->hists); }}});
 }
 
 }  // namespace
@@ -344,7 +306,7 @@ std::vector<const SeriesWindow*> TimeSeries::windows() const {
 std::string TimeSeries::meta_json() const {
   std::ostringstream os;
   os << "{\"type\":\"meta\",\"schema\":\"" << SeriesMeta::kSchema << "\",\"n\":" << meta_.n
-     << ",\"t\":" << meta_.t << ",\"protocol\":\"" << json_escape(meta_.protocol)
+     << ",\"t\":" << meta_.t << ",\"protocol\":\"" << json::escape(meta_.protocol)
      << "\",\"seed\":" << meta_.seed << ",\"window_us\":" << meta_.window_us
      << ",\"full_res\":" << meta_.full_res << ",\"wall\":" << (meta_.wall ? 1 : 0)
      << ",\"corrupt\":[";
@@ -370,18 +332,18 @@ std::string TimeSeries::window_json(const SeriesWindow& w) {
   os << "],\"counters\":{";
   for (size_t i = 0; i < w.counters.size(); ++i) {
     if (i) os << ",";
-    os << "\"" << json_escape(w.counters[i].first) << "\":" << w.counters[i].second;
+    os << "\"" << json::escape(w.counters[i].first) << "\":" << w.counters[i].second;
   }
   os << "},\"gauges\":{";
   for (size_t i = 0; i < w.gauges.size(); ++i) {
     if (i) os << ",";
-    os << "\"" << json_escape(w.gauges[i].first) << "\":" << w.gauges[i].second;
+    os << "\"" << json::escape(w.gauges[i].first) << "\":" << w.gauges[i].second;
   }
   os << "},\"hist\":{";
   for (size_t i = 0; i < w.hists.size(); ++i) {
     if (i) os << ",";
     const SeriesHist& h = w.hists[i].second;
-    os << "\"" << json_escape(w.hists[i].first) << "\":{\"count\":" << h.count
+    os << "\"" << json::escape(w.hists[i].first) << "\":{\"count\":" << h.count
        << ",\"sum\":" << h.sum << ",\"p50\":" << h.p50 << ",\"p90\":" << h.p90
        << ",\"p99\":" << h.p99 << ",\"max_le\":" << h.max_le << "}";
   }
@@ -406,77 +368,28 @@ std::string TimeSeries::to_jsonl() const {
 }
 
 bool TimeSeries::write_jsonl(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << to_jsonl();
-  return static_cast<bool>(out);
+  return json::write_file(path, to_jsonl());
 }
 
 TimeSeries::Parsed TimeSeries::parse_jsonl(const std::string& text) {
   Parsed out;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::string type;
-    if (!parse_string(line, "type", &type)) continue;
-    if (type == "meta") {
-      SeriesMeta& m = out.meta;
-      uint64_t u = 0;
-      if (parse_u64(line, "n", &u)) m.n = static_cast<uint32_t>(u);
-      if (parse_u64(line, "t", &u)) m.t = static_cast<uint32_t>(u);
-      parse_string(line, "protocol", &m.protocol);
-      parse_u64(line, "seed", &m.seed);
-      parse_i64(line, "window_us", &m.window_us);
-      parse_u64(line, "full_res", &m.full_res);
-      if (parse_u64(line, "wall", &u)) m.wall = u != 0;
-      parse_u32_array(line, "corrupt", &m.corrupt);
-      out.has_meta = true;
-    } else if (type == "w") {
-      SeriesWindow w;
-      uint64_t u = 0;
-      parse_u64(line, "seq", &w.seq);
-      parse_i64(line, "start_us", &w.start_us);
-      parse_i64(line, "end_us", &w.end_us);
-      if (parse_u64(line, "res", &u)) w.res = static_cast<uint32_t>(u);
-      parse_u64(line, "rounds", &w.rounds);
-      parse_u64(line, "leader_block", &w.leader_block);
-      parse_u64(line, "clean", &w.clean);
-      parse_u64(line, "honest_leader", &w.honest_leader);
-      parse_u64(line, "corrupt_leader", &w.corrupt_leader);
-      parse_pair_array(nested_span(line, value_offset(line, "leaders")), &w.leaders);
-      parse_flat_map(nested_span(line, value_offset(line, "counters")), &w.counters);
-      parse_flat_map(nested_span(line, value_offset(line, "gauges")), &w.gauges);
-      const std::string hists = nested_span(line, value_offset(line, "hist"));
-      size_t p = 0;
-      while (p + 1 < hists.size() && (p = hists.find('"', p + 1)) != std::string::npos) {
-        size_t end = hists.find('"', p + 1);
-        if (end == std::string::npos) break;
-        std::string name = hists.substr(p + 1, end - p - 1);
-        size_t brace = hists.find('{', end);
-        if (brace == std::string::npos) break;
-        const std::string span = nested_span(hists, brace);
-        if (span.empty()) break;
-        SeriesHist h;
-        parse_u64(span, "count", &h.count);
-        parse_i64(span, "sum", &h.sum);
-        parse_i64(span, "p50", &h.p50);
-        parse_i64(span, "p90", &h.p90);
-        parse_i64(span, "p99", &h.p99);
-        parse_i64(span, "max_le", &h.max_le);
-        w.hists.emplace_back(std::move(name), std::move(h));
-        p = brace + span.size();
-      }
-      out.windows.push_back(std::move(w));
-    } else if (type == "wall") {
-      SeriesWall ws;
-      parse_u64(line, "seq", &ws.seq);
-      parse_i64(line, "rss_kb", &ws.rss_kb);
-      parse_i64(line, "peak_rss_kb", &ws.peak_rss_kb);
-      parse_u64(line, "dropped", &ws.dropped);
-      out.wall.push_back(ws);
+  out.error = json::for_each_line(text, [&out](const json::Value& v) -> std::string {
+    if (!out.has_meta) {
+      std::string err = read_meta(v, &out.meta);
+      out.has_meta = err.empty();
+      return err;
     }
-  }
+    const json::Value* type = v.find("type");
+    if (type == nullptr || type->type != json::Value::Type::kString) return "record has no type";
+    if (type->string == "w") return read_window(v, &out.windows.emplace_back());
+    if (type->string == "wall") {
+      SeriesWall& ws = out.wall.emplace_back();
+      return json::read_fields(v, {{"seq", &ws.seq}, {"rss_kb", &ws.rss_kb},
+                                   {"peak_rss_kb", &ws.peak_rss_kb}, {"dropped", &ws.dropped}});
+    }
+    return {};  // other record types: forward compatibility, skipped
+  });
+  if (out.error.empty() && !out.has_meta) out.error = "line 1: no meta record (empty input)";
   return out;
 }
 

@@ -161,12 +161,16 @@ class TimeSeries {
   std::string to_jsonl() const;
   bool write_jsonl(const std::string& path) const;
 
-  // --- parsing (tools/icc_drift, ci, tests) ---
+  // --- parsing (tools/icc_drift, tests), through support/json ---
+  /// The meta line comes first; unknown record types and keys are skipped.
+  /// Parsing stops at the first line that is not valid JSON or has a known
+  /// field of the wrong type, and `error` names that line.
   struct Parsed {
     SeriesMeta meta;
     bool has_meta = false;
     std::vector<SeriesWindow> windows;
     std::vector<SeriesWall> wall;
+    std::string error;  ///< "" when the whole document parsed
   };
   static Parsed parse_jsonl(const std::string& text);
 

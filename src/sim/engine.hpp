@@ -19,7 +19,7 @@
 //   * Side effects on shared state are not applied in place: schedules and
 //     cancels are captured per event execution (support/defer.hpp) and
 //     replayed on the coordinating thread in batch order after the group
-//     join. Instrumented subsystems (journal, tracer, harness callbacks)
+//     join. Instrumented subsystems (journal, metrics, harness callbacks)
 //     defer through the same queue, so the global mutation order is the
 //     classic sequential order, reproduced exactly.
 //   * Event ids assigned during parallel execution come from per-execution

@@ -2,7 +2,7 @@
 // tools/icc_critpath) invoked as real subprocesses: the CSV time series has
 // the documented columns and one row per finalized round, and the exit-code
 // contract CI leans on (0 clean, 1 named violation / failed hop check, 2
-// usage or I/O error) is pinned. Binary paths are injected by CMake via
+// usage, I/O error or a malformed journal) is pinned. Binary paths are injected by CMake via
 // ICC_AUDIT_BIN / ICC_CRITPATH_BIN.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -64,6 +64,14 @@ long json_int(const std::string& json, const std::string& key) {
   return std::strtol(json.c_str() + at + key.size() + 3, nullptr, 10);
 }
 
+/// Runs `cmd`, returning its exit status and its stderr in `*err`.
+int run_tool_stderr(const std::string& cmd, const std::string& err_path, std::string* err) {
+  int status = std::system((cmd + " >/dev/null 2>" + err_path).c_str());
+  EXPECT_TRUE(WIFEXITED(status)) << cmd;
+  *err = slurp(err_path);
+  return WEXITSTATUS(status);
+}
+
 class ToolTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -72,6 +80,29 @@ class ToolTest : public ::testing::Test {
     jsonl_ = write_honest_journal(journal_);
     ASSERT_FALSE(jsonl_.empty());
   }
+
+  /// Inputs that are not journals: the tool must exit 2 and name the bad
+  /// line on stderr.
+  void expect_malformed_inputs_exit_two(const std::string& tool) {
+    // The last line cut in the middle of a field, as a crashed writer leaves it.
+    const size_t last = jsonl_.rfind('\n', jsonl_.size() - 2) + 1;
+    const size_t lines = static_cast<size_t>(std::count(jsonl_.begin(), jsonl_.end(), '\n'));
+    const std::string cut = jsonl_.substr(0, last + (jsonl_.size() - last) / 2);
+    const std::pair<std::string, std::string> cases[] = {
+        {"", "line 1:"},
+        {"this is not a journal\n", "line 1:"},
+        {cut, "line " + std::to_string(lines) + ":"},
+    };
+    for (const auto& [text, line] : cases) {
+      const std::string path = dir_ + "icc_tool_test_malformed.jsonl";
+      std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+      std::string err;
+      EXPECT_EQ(run_tool_stderr(tool + " " + path, dir_ + "icc_tool_test_stderr.txt", &err), 2)
+          << text.substr(0, 40);
+      EXPECT_NE(err.find(line), std::string::npos) << err;
+    }
+  }
+
   std::string dir_, journal_, jsonl_;
 };
 
@@ -132,6 +163,7 @@ TEST_F(ToolTest, AuditExitCodeContract) {
                      "icc_tool_test_missing.jsonl"),
             2);
   EXPECT_EQ(run_tool(std::string(ICC_AUDIT_BIN) + " " + journal_ + " --bogus"), 2);
+  expect_malformed_inputs_exit_two(ICC_AUDIT_BIN);
 }
 
 TEST_F(ToolTest, CritpathExitCodeContract) {
@@ -167,6 +199,7 @@ TEST_F(ToolTest, CritpathExitCodeContract) {
   EXPECT_EQ(run_tool(std::string(ICC_CRITPATH_BIN) + " " + dir_ +
                      "icc_tool_test_missing.jsonl"),
             2);
+  expect_malformed_inputs_exit_two(ICC_CRITPATH_BIN);
 }
 
 }  // namespace

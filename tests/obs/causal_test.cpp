@@ -72,12 +72,14 @@ TEST(Causal, EdgeFieldsRoundTripJson) {
   std::string line = obs::Journal::event_json(ev, 5);
   EXPECT_NE(line.find("\"peer\":11"), std::string::npos) << line;
   EXPECT_NE(line.find("\"edge\":3"), std::string::npos) << line;
-  auto back = obs::Journal::parse_event_line(line);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->type, obs::journal_type::kSend);
-  EXPECT_EQ(back->peer, 11u);
-  EXPECT_EQ(back->edge, 3u);
-  EXPECT_EQ(back->hash_hex(), "dead");
+  const auto back = obs::Journal::parse_jsonl(
+      obs::Journal::meta_json(obs::JournalMeta{4, 1, "icc0", 1}, 1, 0) + "\n" + line + "\n");
+  ASSERT_EQ(back.error, "");
+  ASSERT_EQ(back.events.size(), 1u);
+  EXPECT_EQ(back.events[0].type, obs::journal_type::kSend);
+  EXPECT_EQ(back.events[0].peer, 11u);
+  EXPECT_EQ(back.events[0].edge, 3u);
+  EXPECT_EQ(back.events[0].hash_hex(), "dead");
 }
 
 TEST(Causal, SchemaTagTracksCausalSwitch) {

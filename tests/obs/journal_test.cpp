@@ -1,7 +1,7 @@
 // Flight-recorder tests: journal export determinism, the offline auditor's
 // pass/fail behaviour (honest runs audit clean for all three protocols; a
 // tampered journal fails naming the violated invariant), adversary runs
-// producing no false positives, and the tracer's self-describing metadata.
+// producing no false positives, and the drop count in the rendered trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,7 @@
 #include "harness/cluster.hpp"
 #include "obs/audit.hpp"
 #include "obs/journal.hpp"
-#include "obs/trace.hpp"
+#include "support/json.hpp"
 
 namespace icc {
 namespace {
@@ -39,6 +39,22 @@ std::string run_journal(const harness::ClusterOptions& o, int seconds = 10) {
   cluster.run_for(sim::seconds(seconds));
   EXPECT_EQ(cluster.check_safety(), std::nullopt);
   return cluster.journal_jsonl();
+}
+
+/// Parses one exported event line behind a meta line; the event, or an
+/// empty-typed event when the document did not parse.
+obs::JournalEvent parse_one_event(const std::string& line) {
+  const auto parsed = obs::Journal::parse_jsonl(
+      obs::Journal::meta_json(obs::JournalMeta{4, 1, "icc0", 1}, 1, 0) + "\n" + line + "\n");
+  EXPECT_EQ(parsed.error, "");
+  return parsed.events.size() == 1 ? parsed.events[0] : obs::JournalEvent{};
+}
+
+obs::JournalMeta parse_meta(const std::string& line) {
+  const auto parsed = obs::Journal::parse_jsonl(line + "\n");
+  EXPECT_EQ(parsed.error, "");
+  EXPECT_TRUE(parsed.has_meta);
+  return parsed.meta;
 }
 
 // ---------------------------------------------------------------------------
@@ -77,28 +93,56 @@ TEST(Journal, EventJsonRoundTrips) {
   ev.detail = "combined";
   std::string line = obs::Journal::event_json(ev, 42);
   EXPECT_NE(line.find("\"hash\":\"ab12\""), std::string::npos);
-  auto back = obs::Journal::parse_event_line(line);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->type, obs::journal_type::kNotarAgg);  // interned pointer
-  EXPECT_EQ(back->ts, 123456);
-  EXPECT_EQ(back->party, 3u);
-  EXPECT_EQ(back->round, 9u);
-  EXPECT_EQ(back->proposer, 1u);
-  EXPECT_EQ(back->hash_hex(), "ab12");
-  EXPECT_EQ(back->signers, (std::vector<uint32_t>{0, 2, 5}));
-  EXPECT_STREQ(back->detail, "combined");
+  const obs::JournalEvent back = parse_one_event(line);
+  EXPECT_EQ(back.type, obs::journal_type::kNotarAgg);  // interned pointer
+  EXPECT_EQ(back.ts, 123456);
+  EXPECT_EQ(back.party, 3u);
+  EXPECT_EQ(back.round, 9u);
+  EXPECT_EQ(back.proposer, 1u);
+  EXPECT_EQ(back.hash_hex(), "ab12");
+  EXPECT_EQ(back.signers, (std::vector<uint32_t>{0, 2, 5}));
+  EXPECT_STREQ(back.detail, "combined");
+}
+
+// Strings go through the shared escaper and reader: quotes, backslashes,
+// newlines and key-like text inside a value survive the round trip.
+TEST(Journal, MetaProtocolWithJsonSyntaxRoundTrips) {
+  const std::string protocol = "icc1 \"wan\" \\ \n\"round\":7";
+  obs::JournalMeta m{16, 5, protocol, 99};
+  const obs::JournalMeta back = parse_meta(obs::Journal::meta_json(m, 10, 0));
+  EXPECT_EQ(back.protocol, protocol);
+  EXPECT_EQ(back.seed, 99u);
+}
+
+// Input errors name the line; blank lines are skipped, unknown keys and
+// event types are accepted.
+TEST(Journal, ParseErrorsNameTheLine) {
+  const std::string meta = obs::Journal::meta_json(obs::JournalMeta{4, 1, "icc0", 1}, 2, 0);
+  const std::string good = meta + "\n\n{\"seq\":1,\"type\":\"future_type\",\"ts\":5,\"x\":[1]}\n";
+  auto parsed = obs::Journal::parse_jsonl(good);
+  EXPECT_EQ(parsed.error, "");
+  ASSERT_EQ(parsed.events.size(), 1u);
+  EXPECT_STREQ(parsed.events[0].type, "future_type");
+
+  EXPECT_EQ(obs::Journal::parse_jsonl("").error, "line 1: no meta record (empty input)");
+  EXPECT_EQ(obs::Journal::parse_jsonl("this is not a journal\n").error.rfind("line 1: byte 0:", 0),
+            0u);
+  EXPECT_EQ(obs::Journal::parse_jsonl(meta + "\n{\"seq\":1,\"type\":\"commit\",\"ts\":12").error,
+            "line 2: byte 32: unterminated object");
+  EXPECT_EQ(obs::Journal::parse_jsonl(meta + "\n{\"type\":\"commit\",\"ts\":\"12\"}\n").error,
+            "line 2: field \"ts\" has the wrong type");
+  EXPECT_EQ(obs::Journal::parse_jsonl(good.substr(meta.size() + 2)).error,
+            "line 1: not a meta record");
 }
 
 TEST(Journal, MetaLineRoundTrips) {
   obs::JournalMeta m{16, 5, "icc1", 99};
-  std::string line = obs::Journal::meta_json(m, 10, 0);
-  auto back = obs::Journal::parse_meta_line(line);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->n, 16u);
-  EXPECT_EQ(back->t, 5u);
-  EXPECT_EQ(back->quorum(), 11u);
-  EXPECT_EQ(back->protocol, "icc1");
-  EXPECT_EQ(back->seed, 99u);
+  const obs::JournalMeta back = parse_meta(obs::Journal::meta_json(m, 10, 0));
+  EXPECT_EQ(back.n, 16u);
+  EXPECT_EQ(back.t, 5u);
+  EXPECT_EQ(back.quorum(), 11u);
+  EXPECT_EQ(back.protocol, "icc1");
+  EXPECT_EQ(back.seed, 99u);
 }
 
 // ---------------------------------------------------------------------------
@@ -312,25 +356,26 @@ TEST(Audit, ByzantineAdversariesProduceNoFalsePositives) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracer metadata (satellite: self-describing trace exports)
+// Trace rendered from the journal: self-describing drop accounting
 // ---------------------------------------------------------------------------
 
-TEST(Tracer, JsonEmbedsRingMetadata) {
-  obs::Tracer t(2);
-  obs::TraceEvent ev;
-  ev.name = "x";
-  ev.cat = "c";
-  ev.ph = 'i';
+TEST(JournalTrace, JsonEmbedsJournalDrops) {
+  obs::Journal j(2);
+  obs::JournalEvent ev;
+  ev.type = obs::journal_type::kFinalized;
+  ev.party = 0;
   for (int i = 0; i < 5; ++i) {
     ev.ts = i;
-    t.record(ev);
+    j.append(ev);
   }
-  std::string json = t.to_json();
-  EXPECT_NE(json.find("\"metadata\":{\"recorded\":5,\"dropped\":3,\"capacity\":2}"),
-            std::string::npos)
-      << json;
-  // Still a valid Chrome trace document shape.
-  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
+  const std::string json = j.trace_json();
+  EXPECT_NE(json.find("\"metadata\":{\"journal_dropped\":3}"), std::string::npos) << json;
+  // Still a valid Chrome trace document, holding the two kept events.
+  support::json::Value doc;
+  std::string error;
+  ASSERT_TRUE(support::json::parse(json, &doc, &error)) << error;
+  ASSERT_NE(doc.find("traceEvents"), nullptr);
+  EXPECT_EQ(doc.find("traceEvents")->array.size(), 2u);
   EXPECT_EQ(json.rfind("\"displayTimeUnit\":\"ms\"}"),
             json.size() - std::string("\"displayTimeUnit\":\"ms\"}").size());
 }

@@ -1,13 +1,15 @@
-// Telemetry tests: metric primitives, the span tracer's ring/export, the
-// end-to-end cluster wiring (paper-expected round/message counters on an
-// all-honest run), and the on/off determinism guarantee.
+// Telemetry tests: metric primitives, the Chrome trace rendered from the
+// journal, the end-to-end cluster wiring (paper-expected round/message
+// counters on an all-honest run), and the on/off determinism guarantee.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "harness/cluster.hpp"
 #include "harness/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "obs/trace.hpp"
+#include "support/json.hpp"
 
 namespace icc {
 namespace {
@@ -93,50 +95,6 @@ TEST(Metrics, RegistryMerge) {
   EXPECT_EQ(a.find_counter("x")->value(), 3u);
   EXPECT_EQ(a.find_counter("y")->value(), 5u);
   EXPECT_EQ(a.find_histogram("h")->count(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Tracer
-// ---------------------------------------------------------------------------
-
-TEST(Tracer, RingKeepsTailAndCountsDrops) {
-  obs::Tracer t(4);
-  for (int i = 0; i < 10; ++i) t.complete("ev", "test", 0, 0, i * 100, 10);
-  EXPECT_EQ(t.size(), 4u);
-  EXPECT_EQ(t.recorded(), 10u);
-  EXPECT_EQ(t.dropped(), 6u);
-  // The export holds the last 4 events (ts 600..900), time-ordered.
-  std::string json = t.to_json();
-  EXPECT_EQ(json.find("\"ts\":500"), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":600"), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":900"), std::string::npos);
-  EXPECT_LT(json.find("\"ts\":600"), json.find("\"ts\":900"));
-}
-
-TEST(Tracer, DisabledCapacityZeroRecordsNothing) {
-  obs::Tracer t(0);
-  t.complete("ev", "test", 0, 0, 0, 1);
-  t.instant("ev", "test", 0, 0, 0);
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.recorded(), 0u);
-  EXPECT_NE(t.to_json().find("\"traceEvents\":[]"), std::string::npos);
-}
-
-TEST(Tracer, ChromeTraceEventShape) {
-  obs::Tracer t(16);
-  t.complete("round", "consensus", 3, 0, 1000, 250, "round", 7, "leader", 2);
-  t.instant("finalize", "consensus", 3, 0, 1250, "round", 7);
-  std::string json = t.to_json();
-  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u) << json;
-  EXPECT_NE(json.find("\"name\":\"round\",\"cat\":\"consensus\",\"ph\":\"X\",\"ts\":1000,"
-                      "\"dur\":250,\"pid\":3,\"tid\":0,\"args\":{\"round\":7,\"leader\":2}"),
-            std::string::npos)
-      << json;
-  // Instant events carry a scope and no dur.
-  EXPECT_NE(json.find("\"ph\":\"i\",\"ts\":1250,\"pid\":3,\"tid\":0,\"s\":\"t\""),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\"}"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,11 +196,10 @@ TEST(ClusterObs, HonestRunMatchesPaperExpectedCounters) {
   EXPECT_GT(per_round, 2.0 * n2);
   EXPECT_LT(per_round, 12.0 * n2);
 
-  // Latency histograms were fed and the trace ring saw the run.
+  // Latency histograms were fed.
   const obs::Histogram* fin = r.find_histogram("consensus.finalize_us");
   ASSERT_NE(fin, nullptr);
   EXPECT_GT(fin->count(), 0u);
-  EXPECT_GT(cluster.obs()->tracer().recorded(), 0u);
 
   // Snapshot carries the folded stats structs alongside the live metrics.
   std::string json = cluster.metrics_json();
@@ -250,6 +207,119 @@ TEST(ClusterObs, HonestRunMatchesPaperExpectedCounters) {
   EXPECT_NE(json.find("\"pipeline.decoded\""), std::string::npos);
   EXPECT_NE(json.find("\"verify.cache_hits\""), std::string::npos);
   EXPECT_NE(json.find("\"net.total_messages\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Chrome trace rendered from the journal
+// ---------------------------------------------------------------------------
+
+obs::JournalEvent trace_input(const char* type, uint32_t party, uint64_t round, int64_t ts,
+                              uint8_t hash_byte = 0, int64_t value = obs::JournalEvent::kNoValue) {
+  obs::JournalEvent ev;
+  ev.type = type;
+  ev.party = party;
+  ev.round = round;
+  ev.ts = ts;
+  if (hash_byte != 0) ev.set_hash(std::array<uint8_t, 32>{hash_byte}.data(), 32);
+  ev.value = value;
+  return ev;
+}
+
+// Each journal-derived trace event, in the Chrome trace_event shape:
+// spans carry dur, instants a thread scope, events sort by start time.
+TEST(JournalTrace, ChromeTraceEventShape) {
+  using namespace obs::journal_type;
+  const std::vector<obs::JournalEvent> events = {
+      // Party 4 holds round 5's block and notarization before entering the
+      // round, so the round ends the moment it starts.
+      trace_input(kNotarAgg, 4, 5, 100, 0xcc),
+      trace_input(kProposal, 4, 5, 150, 0xcc),
+      trace_input(kRoundEnter, 4, 5, 400),
+      trace_input(kRoundEnter, 3, 7, 1000),
+      trace_input(kProposal, 3, 7, 1100, 0xaa),
+      trace_input(kNotarAgg, 3, 7, 1250, 0xaa),
+      trace_input(kFinalized, 3, 7, 1300, 0xaa),
+      trace_input(kGossipAdvert, 3, 8, 1400, 0xbb),
+      trace_input(kGossipRequest, 3, 8, 1450, 0xbb, 1),
+      trace_input(kGossipRequest, 3, 8, 1500, 0xbb, 2),
+      trace_input(kGossipDeliver, 3, 8, 1600, 0xbb, 4096),
+      trace_input(kPropose, 3, 8, 1700, 0xdd),
+  };
+  EXPECT_EQ(obs::trace_events_json(events),
+            "{\"name\":\"round\",\"cat\":\"consensus\",\"ph\":\"X\",\"ts\":400,\"dur\":0,"
+            "\"pid\":4,\"tid\":0,\"args\":{\"round\":5}},\n"
+            "{\"name\":\"round\",\"cat\":\"consensus\",\"ph\":\"X\",\"ts\":1000,\"dur\":250,"
+            "\"pid\":3,\"tid\":0,\"args\":{\"round\":7}},\n"
+            "{\"name\":\"finalize\",\"cat\":\"consensus\",\"ph\":\"i\",\"ts\":1300,\"pid\":3,"
+            "\"tid\":0,\"s\":\"t\",\"args\":{\"round\":7}},\n"
+            "{\"name\":\"fetch\",\"cat\":\"gossip\",\"ph\":\"X\",\"ts\":1400,\"dur\":200,"
+            "\"pid\":3,\"tid\":1,\"args\":{\"bytes\":4096}},\n"
+            "{\"name\":\"pull-retry\",\"cat\":\"gossip\",\"ph\":\"i\",\"ts\":1500,\"pid\":3,"
+            "\"tid\":1,\"s\":\"t\"},\n"
+            "{\"name\":\"propose\",\"cat\":\"consensus\",\"ph\":\"i\",\"ts\":1700,\"pid\":3,"
+            "\"tid\":0,\"s\":\"t\",\"args\":{\"round\":8}}");
+}
+
+// The rendered trace is valid JSON for the shared strict reader, has one
+// round span for every round each party finished and one finalize instant
+// per finalized journal event, and reports the journal's drop count.
+TEST(JournalTrace, RenderedTraceMatchesTheRun) {
+  const size_t n = 7;
+  auto o = observed_options(n, true);
+  o.obs.journal = true;
+  harness::Cluster cluster(o);
+  cluster.run_for(sim::seconds(5));
+  ASSERT_EQ(cluster.check_safety(), std::nullopt);
+
+  support::json::Value doc;
+  std::string error;
+  ASSERT_TRUE(support::json::parse(cluster.trace_json(), &doc, &error)) << error;
+  const support::json::Value* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  const support::json::Value* meta = doc.find("metadata");
+  ASSERT_NE(meta, nullptr);
+  uint64_t dropped = 1;
+  ASSERT_NE(meta->find("journal_dropped"), nullptr);
+  EXPECT_TRUE(meta->find("journal_dropped")->get(&dropped));
+  EXPECT_EQ(dropped, 0u);
+
+  std::vector<std::vector<uint64_t>> rounds(n);
+  size_t finalize_instants = 0;
+  for (const auto& ev : events->array) {
+    std::string name;
+    uint32_t pid = 0;
+    ASSERT_TRUE(ev.find("name")->get(&name));
+    ASSERT_TRUE(ev.find("pid")->get(&pid));
+    ASSERT_LT(pid, n);
+    if (name == "finalize") finalize_instants++;
+    if (name != "round") continue;
+    uint64_t round = 0;
+    ASSERT_TRUE(ev.find("args")->find("round")->get(&round));
+    rounds[pid].push_back(round);
+  }
+  for (size_t p = 0; p < n; ++p) {
+    // Rounds 1 .. current-1 are the ones party p finished, each exactly once.
+    std::sort(rounds[p].begin(), rounds[p].end());
+    std::vector<uint64_t> finished;
+    for (uint64_t r = 1; r < cluster.party(p)->current_round(); ++r) finished.push_back(r);
+    ASSERT_GT(finished.size(), 10u);
+    EXPECT_EQ(rounds[p], finished) << "party " << p;
+  }
+  size_t finalized = 0;
+  for (const auto& ev : cluster.journal()->events())
+    finalized += ev.type == obs::journal_type::kFinalized;
+  EXPECT_GT(finalized, 0u);
+  EXPECT_EQ(finalize_instants, finalized);
+}
+
+TEST(JournalTrace, TelemetryOffOrNoJournalHasNoTrace) {
+  harness::Cluster off(observed_options(4, false));
+  off.run_for(sim::seconds(1));
+  EXPECT_EQ(off.trace_json(), "{}");
+  harness::Cluster no_journal(observed_options(4, true));
+  no_journal.run_for(sim::seconds(1));
+  EXPECT_EQ(no_journal.trace_json(), "{}");
+  EXPECT_FALSE(no_journal.dump_trace(::testing::TempDir() + "icc_obs_no_journal.json"));
 }
 
 TEST(ClusterObs, CorruptLeaderRoundsAreTagged) {

@@ -183,6 +183,19 @@ TEST(RuntimeProfilerTest, ReportRoundTripsThroughJson) {
   }
 }
 
+// Worker names go through the shared escaper and reader: quotes,
+// backslashes, newlines and key-like text survive the round trip.
+TEST(RuntimeParserTest, WorkerNameWithJsonSyntaxRoundTrips) {
+  obs::RuntimeReport rep;
+  rep.wall_ns = 1000;
+  rep.workers.emplace_back().name = "odd \"name\" \\ \n\"round\":7";
+  std::string error;
+  auto parsed = obs::parse_runtime_report(obs::runtime_report_json(rep), &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_EQ(parsed->workers.size(), 1u);
+  EXPECT_EQ(parsed->workers[0].name, rep.workers[0].name);
+}
+
 TEST(RuntimeParserTest, RejectsMalformedInput) {
   std::string error;
   EXPECT_FALSE(obs::parse_runtime_report("", &error).has_value());

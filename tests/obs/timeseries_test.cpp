@@ -194,6 +194,21 @@ TEST(TimeSeriesTest, ParseRoundTrip) {
   }
 }
 
+// Names go through the shared escaper and reader: quotes, backslashes,
+// newlines and key-like text inside a counter name survive the round trip.
+TEST(TimeSeriesTest, CounterNameWithJsonSyntaxRoundTrips) {
+  const std::string name = "odd \"name\" \\ \n\"round\":7";
+  obs::Registry registry;
+  obs::TimeSeries series(&registry, obs::SeriesConfig{});
+  registry.counter(name).add(3);
+  series.on_boundary(1'000'000);
+  const obs::TimeSeries::Parsed parsed = obs::TimeSeries::parse_jsonl(series.to_jsonl());
+  ASSERT_EQ(parsed.error, "");
+  ASSERT_EQ(parsed.windows.size(), 1u);
+  EXPECT_EQ(parsed.windows[0].counters,
+            (std::vector<std::pair<std::string, uint64_t>>{{name, 3}}));
+}
+
 // ---------------------------------------------------------------------------
 // icc_drift exit-code contract, as a real subprocess.
 

@@ -7,24 +7,19 @@
 //   icc_audit <journal.jsonl> [--report <out.json>] [--csv <out.csv>] [--quiet]
 //
 // Exit status: 0 when every invariant holds, 1 on any violation (the report
-// names the invariant), 2 on usage/I/O errors. See obs/audit.hpp for the
-// invariant-to-lemma mapping.
+// names the invariant), 2 on usage/I/O errors or a malformed journal (an
+// empty file, non-JSON, a cut line: stderr names the line). See
+// obs/audit.hpp for the invariant-to-lemma mapping.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "obs/audit.hpp"
+#include "support/json.hpp"
 
 namespace {
 
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
-}
+namespace json = icc::support::json;
 
 int usage() {
   std::fprintf(stderr,
@@ -58,22 +53,24 @@ int main(int argc, char** argv) {
   }
   if (journal_path.empty()) return usage();
 
-  std::ifstream in(journal_path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "icc_audit: cannot open %s\n", journal_path.c_str());
+  std::string text;
+  if (!json::read_file(journal_path, &text)) {
+    std::fprintf(stderr, "icc_audit: cannot read %s\n", journal_path.c_str());
     return 2;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
 
-  icc::obs::AuditReport report = icc::obs::audit_jsonl(buf.str());
+  icc::obs::AuditReport report = icc::obs::audit_jsonl(text);
+  if (!report.error.empty()) {
+    std::fprintf(stderr, "icc_audit: %s: %s\n", journal_path.c_str(), report.error.c_str());
+    return 2;
+  }
 
   if (!quiet) std::printf("%s\n", report.to_json().c_str());
-  if (!report_path.empty() && !write_file(report_path, report.to_json() + "\n")) {
+  if (!report_path.empty() && !json::write_file(report_path, report.to_json() + "\n")) {
     std::fprintf(stderr, "icc_audit: cannot write %s\n", report_path.c_str());
     return 2;
   }
-  if (!csv_path.empty() && !write_file(csv_path, report.rounds_csv())) {
+  if (!csv_path.empty() && !json::write_file(csv_path, report.rounds_csv())) {
     std::fprintf(stderr, "icc_audit: cannot write %s\n", csv_path.c_str());
     return 2;
   }

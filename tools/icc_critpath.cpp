@@ -19,24 +19,20 @@
 //                 icc2 → 4 — the paper's 3δ/4δ claims).
 //
 // Exit status: 0 ok, 1 on a causal-validation error (named on stderr) or a
-// failed --check-hops, 2 on usage/I/O errors.
+// failed --check-hops, 2 on usage/I/O errors or a malformed journal (an
+// empty file, non-JSON, a cut line: stderr names the line).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <utility>
 
 #include "obs/causal.hpp"
+#include "support/json.hpp"
 
 namespace {
 
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
-}
+namespace json = icc::support::json;
 
 int usage() {
   std::fprintf(stderr,
@@ -79,19 +75,22 @@ int main(int argc, char** argv) {
   }
   if (journal_path.empty()) return usage();
 
-  std::ifstream in(journal_path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "icc_critpath: cannot open %s\n", journal_path.c_str());
+  std::string text;
+  if (!json::read_file(journal_path, &text)) {
+    std::fprintf(stderr, "icc_critpath: cannot read %s\n", journal_path.c_str());
     return 2;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
 
-  icc::obs::CausalAnalyzer analyzer(icc::obs::Journal::parse_jsonl(buf.str()));
+  icc::obs::Journal::Parsed parsed = icc::obs::Journal::parse_jsonl(text);
+  if (!parsed.error.empty()) {
+    std::fprintf(stderr, "icc_critpath: %s: %s\n", journal_path.c_str(), parsed.error.c_str());
+    return 2;
+  }
+  icc::obs::CausalAnalyzer analyzer(std::move(parsed));
   const icc::obs::CritPathReport& report = analyzer.report();
 
   if (!quiet) std::printf("%s\n", report.to_json().c_str());
-  if (!report_path.empty() && !write_file(report_path, report.to_json() + "\n")) {
+  if (!report_path.empty() && !json::write_file(report_path, report.to_json() + "\n")) {
     std::fprintf(stderr, "icc_critpath: cannot write %s\n", report_path.c_str());
     return 2;
   }
@@ -114,7 +113,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "icc_critpath: no complete round to render\n");
       return 1;
     }
-    if (!write_file(dot_path, analyzer.to_dot(dot_round))) {
+    if (!json::write_file(dot_path, analyzer.to_dot(dot_round))) {
       std::fprintf(stderr, "icc_critpath: cannot write %s\n", dot_path.c_str());
       return 2;
     }

@@ -36,15 +36,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/timeseries.hpp"
+#include "support/json.hpp"
 
 namespace {
+
+namespace json = icc::support::json;
 
 int usage() {
   std::fprintf(stderr,
@@ -164,17 +165,15 @@ int main(int argc, char** argv) {
   }
   if (series_path.empty()) return usage();
 
-  std::ifstream in(series_path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "icc_drift: cannot open %s\n", series_path.c_str());
+  std::string text;
+  if (!json::read_file(series_path, &text)) {
+    std::fprintf(stderr, "icc_drift: cannot read %s\n", series_path.c_str());
     return 2;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
 
-  const icc::obs::TimeSeries::Parsed parsed = icc::obs::TimeSeries::parse_jsonl(buf.str());
-  if (!parsed.has_meta) {
-    std::fprintf(stderr, "icc_drift: %s: no icc-series/v1 meta line\n", series_path.c_str());
+  const icc::obs::TimeSeries::Parsed parsed = icc::obs::TimeSeries::parse_jsonl(text);
+  if (!parsed.error.empty()) {
+    std::fprintf(stderr, "icc_drift: %s: %s\n", series_path.c_str(), parsed.error.c_str());
     return 2;
   }
   if (parsed.windows.empty()) {
@@ -320,24 +319,25 @@ int main(int argc, char** argv) {
   for (const auto& d : dets)
     if (d.status == "fail") failed.push_back(d.name);
 
-  std::string json = "{\"schema\":\"icc-drift/v1\",\"source\":\"" + series_path +
-                     "\",\"protocol\":\"" + parsed.meta.protocol +
-                     "\",\"seed\":" + std::to_string(parsed.meta.seed) +
-                     ",\"windows\":" + std::to_string(windows.size()) +
-                     ",\"wall_samples\":" + std::to_string(parsed.wall.size()) +
-                     ",\"detectors\":{";
+  std::string report = "{\"schema\":\"icc-drift/v1\",\"source\":\"" +
+                       json::escape(series_path) + "\",\"protocol\":\"" +
+                       json::escape(parsed.meta.protocol) +
+                       "\",\"seed\":" + std::to_string(parsed.meta.seed) +
+                       ",\"windows\":" + std::to_string(windows.size()) +
+                       ",\"wall_samples\":" + std::to_string(parsed.wall.size()) +
+                       ",\"detectors\":{";
   for (size_t i = 0; i < dets.size(); ++i) {
-    if (i) json += ",";
-    json += "\"" + dets[i].name + "\":{\"status\":\"" + dets[i].status + "\"" +
-            dets[i].detail + "}";
+    if (i) report += ",";
+    report += "\"" + dets[i].name + "\":{\"status\":\"" + dets[i].status + "\"" +
+              dets[i].detail + "}";
   }
-  json += "},\"failed\":[";
+  report += "},\"failed\":[";
   for (size_t i = 0; i < failed.size(); ++i) {
-    if (i) json += ",";
-    json += "\"" + failed[i] + "\"";
+    if (i) report += ",";
+    report += "\"" + failed[i] + "\"";
   }
-  json += "]}";
-  std::printf("%s\n", json.c_str());
+  report += "]}";
+  std::printf("%s\n", report.c_str());
 
   if (!quiet) {
     std::fprintf(stderr, "icc_drift: %s — %zu windows, %zu wall samples (%s, n=%u, seed %llu)\n",

@@ -20,14 +20,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/runtime.hpp"
+#include "support/json.hpp"
 
 namespace {
+
+namespace json = icc::support::json;
 
 int usage() {
   std::fprintf(stderr, "usage: icc_runtime <runtime.json> [--top <k>] [--check] [--quiet]\n");
@@ -59,16 +60,14 @@ int main(int argc, char** argv) {
   }
   if (report_path.empty()) return usage();
 
-  std::ifstream in(report_path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "icc_runtime: cannot open %s\n", report_path.c_str());
+  std::string text;
+  if (!json::read_file(report_path, &text)) {
+    std::fprintf(stderr, "icc_runtime: cannot read %s\n", report_path.c_str());
     return 2;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
 
   std::string error;
-  auto report = icc::obs::parse_runtime_report(buf.str(), &error);
+  auto report = icc::obs::parse_runtime_report(text, &error);
   if (!report) {
     std::fprintf(stderr, "icc_runtime: malformed report: %s\n", error.c_str());
     return 2;
