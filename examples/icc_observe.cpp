@@ -212,12 +212,13 @@ int main(int argc, char** argv) {
     // never diff them across runs (unlike every metric above).
     const auto is = cluster.intern_stats();
     std::printf("intern (physical):   %lu parses, %lu decode hits, %lu real "
-                "verifications, %lu memo hits, %lu primed\n",
+                "verifications, %lu memo hits, %lu primed, %lu beacon combines\n",
                 static_cast<unsigned long>(is.parses),
                 static_cast<unsigned long>(is.decode_hits),
                 static_cast<unsigned long>(is.real_verifications),
                 static_cast<unsigned long>(is.verdict_memo_hits),
-                static_cast<unsigned long>(is.verdicts_primed));
+                static_cast<unsigned long>(is.verdicts_primed),
+                static_cast<unsigned long>(is.beacon_combines));
   }
   const obs::Journal* journal = cluster.journal();
   if (journal->dropped() > 0)

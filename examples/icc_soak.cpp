@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "harness/cluster.hpp"
+#include "support/proc.hpp"
 
 namespace {
 
@@ -72,19 +73,6 @@ class PartitionDelay final : public icc::sim::DelayModel {
   std::unique_ptr<icc::sim::DelayModel> inner_;
   std::vector<Window> windows_;
 };
-
-int64_t rss_kb_now() {
-  int64_t rss = -1;
-#if defined(__linux__)
-  if (FILE* f = std::fopen("/proc/self/status", "r")) {
-    char line[256];
-    while (std::fgets(line, sizeof(line), f) != nullptr)
-      if (std::strncmp(line, "VmRSS:", 6) == 0) rss = std::strtoll(line + 6, nullptr, 10);
-    std::fclose(f);
-  }
-#endif
-  return rss;
-}
 
 }  // namespace
 
@@ -233,7 +221,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(round),
                    static_cast<unsigned long long>(target_rounds),
                    static_cast<unsigned long long>(series->windows_closed()),
-                   static_cast<long long>(rss_kb_now() >> 10));
+                   static_cast<long long>(support::proc_memory().rss_kb >> 10));
     }
     if (round >= target_rounds) break;
     if (round == prev_round) {
@@ -261,7 +249,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(series->windows_closed()),
               static_cast<unsigned long long>(series->dropped()));
   std::printf("wall / cpu:        %.0f s / %.0f s\n", wall_s, cpu_s);
-  std::printf("rss:               %lld MB\n", static_cast<long long>(rss_kb_now() >> 10));
+  std::printf("rss:               %lld MB\n",
+              static_cast<long long>(support::proc_memory().rss_kb >> 10));
   std::printf("seed:              %llu\n", static_cast<unsigned long long>(o.seed));
   std::printf("series:            %s\n", series_path);
   if (series->dropped() > 0)

@@ -38,7 +38,7 @@ Bytes BeaconShare::serialize() const {
 }
 
 std::optional<BeaconShare> BeaconShare::deserialize(BytesView bytes) {
-  if (bytes.size() != 4 + 32 + 64) return std::nullopt;
+  if (bytes.size() != kSize) return std::nullopt;
   BeaconShare s;
   s.signer = get_u32le(bytes.data());
   auto sigma = Point::decompress(bytes.subspan(4, 32));
@@ -73,26 +73,26 @@ bool beacon_verify_share(BytesView message, const BeaconShare& share,
 std::optional<Point> beacon_combine(std::span<const BeaconShare> shares,
                                     const BeaconPublic& pub) {
   // Pick the first `threshold` distinct signers.
-  std::vector<const BeaconShare*> chosen;
+  std::vector<uint32_t> signers;
+  std::vector<Point> sigmas;
   std::unordered_set<uint32_t> seen;
   for (const auto& s : shares) {
-    if (seen.insert(s.signer).second) chosen.push_back(&s);
-    if (chosen.size() == pub.threshold) break;
+    if (signers.size() == pub.threshold) break;
+    if (!seen.insert(s.signer).second) continue;
+    signers.push_back(s.signer);
+    sigmas.push_back(s.sigma);
   }
-  if (chosen.size() < pub.threshold) return std::nullopt;
+  if (signers.size() < pub.threshold) return std::nullopt;
+  return beacon_interpolate(signers, sigmas);
+}
 
-  // Lagrange interpolation in the exponent at zero. Share evaluation points
-  // are signer + 1 (Shamir indices are 1-based).
+Point beacon_interpolate(std::span<const uint32_t> signers, std::span<const Point> sigmas) {
+  // Share evaluation points are signer + 1 (Shamir indices are 1-based).
   std::vector<uint32_t> points;
-  points.reserve(chosen.size());
-  for (const auto* s : chosen) points.push_back(s->signer + 1);
-
-  Point sigma;  // identity
-  for (size_t j = 0; j < chosen.size(); ++j) {
-    Sc25519 lambda = lagrange_at_zero(points, j);
-    sigma = sigma + chosen[j]->sigma.mul(lambda);
-  }
-  return sigma;
+  points.reserve(signers.size());
+  for (uint32_t s : signers) points.push_back(s + 1);
+  const std::vector<Sc25519> lambdas = lagrange_coefficients_at_zero(points);
+  return Point::mul_multi_base(Sc25519::zero(), lambdas, sigmas);
 }
 
 Bytes beacon_value(const Point& sigma) {

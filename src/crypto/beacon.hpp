@@ -42,6 +42,8 @@ struct BeaconKeys {
 BeaconKeys beacon_keygen(size_t n, size_t t, Xoshiro256& rng);
 
 struct BeaconShare {
+  static constexpr size_t kSize = 4 + 32 + 64;  ///< signer ‖ sigma ‖ DLEQ proof
+
   uint32_t signer = 0;  ///< 0-based party index
   Point sigma;          ///< s_i * H2C(m)
   DleqProof proof;
@@ -59,9 +61,16 @@ bool beacon_verify_share(BytesView message, const BeaconShare& share,
                          const BeaconPublic& pub);
 
 /// Combine >= threshold verified shares into sigma = s * H2C(m).
-/// Shares must have distinct signers; extras beyond threshold are ignored.
+/// The first `threshold` distinct signers are used; later shares are ignored.
 std::optional<Point> beacon_combine(std::span<const BeaconShare> shares,
                                     const BeaconPublic& pub);
+
+/// Lagrange interpolation in the exponent at zero: sum_j lambda_j sigmas[j],
+/// where sigmas[j] is the share of 0-based party signers[j]. All coefficients
+/// share one scalar inversion (lagrange_coefficients_at_zero) and the sum is
+/// one Straus multi-scalar multiplication. Throws std::invalid_argument on
+/// duplicate signers. The kernel behind beacon_combine.
+Point beacon_interpolate(std::span<const uint32_t> signers, std::span<const Point> sigmas);
 
 /// The beacon value: SHA-256 of the compressed combined point.
 Bytes beacon_value(const Point& sigma);

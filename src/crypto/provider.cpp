@@ -204,16 +204,45 @@ class RealCryptoProvider final : public CryptoProvider {
   Bytes beacon_combine_preverified(
       BytesView message, std::span<const std::pair<PartyIndex, Bytes>> shares) override {
     (void)message;
-    std::vector<BeaconShare> parsed;
-    parsed.reserve(shares.size());
+    // No DLEQ re-check: the caller vouches. Only the sigmas the combine uses
+    // are decoded — those of the first `threshold` distinct signers whose
+    // encoding is a point — two at a time, so the square roots overlap
+    // (Point::decompress_pair).
+    const size_t need = beacon_.pub.threshold;
+    std::vector<uint32_t> signers;
+    std::vector<Point> sigmas;
+    std::vector<uint8_t> taken(n_, 0);  // signer chosen, or pending decode
+    std::vector<std::pair<uint32_t, const uint8_t*>> pending;
+    auto decode_pending = [&] {
+      Point a, b;
+      if (pending.size() == 2 &&
+          Point::decompress_pair(pending[0].second, pending[1].second, a, b)) {
+        signers.insert(signers.end(), {pending[0].first, pending[1].first});
+        sigmas.insert(sigmas.end(), {a, b});
+      } else {
+        for (const auto& [signer, enc] : pending) {
+          if (auto p = Point::decompress(enc)) {
+            signers.push_back(signer);
+            sigmas.push_back(*p);
+          } else {
+            taken[signer] = 0;  // a later share from this signer may still count
+          }
+        }
+      }
+      pending.clear();
+    };
     for (const auto& [signer, data] : shares) {
-      auto s = BeaconShare::deserialize(data);
-      if (!s || s->signer != signer) continue;  // no DLEQ re-check: caller vouches
-      parsed.push_back(*s);
+      if (data.size() != BeaconShare::kSize || signer >= n_ ||
+          get_u32le(data.data()) != signer || taken[signer])
+        continue;
+      taken[signer] = 1;
+      pending.emplace_back(signer, data.data() + 4);
+      if (pending.size() == 2 || signers.size() + pending.size() == need) decode_pending();
+      if (signers.size() == need) break;
     }
-    auto sigma = icc::crypto::beacon_combine(parsed, beacon_.pub);
-    if (!sigma) return {};
-    return icc::crypto::beacon_value(*sigma);
+    decode_pending();
+    if (signers.size() < need) return {};
+    return icc::crypto::beacon_value(icc::crypto::beacon_interpolate(signers, sigmas));
   }
 
   bool beacon_verify(BytesView message, BytesView value) const override {

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 namespace icc::crypto {
 
@@ -210,6 +211,25 @@ Sc25519 Sc25519::invert() const {
     if ((kExp[i / 8] >> (i % 8)) & 1) result = result * *this;
   }
   return result;
+}
+
+void Sc25519::batch_invert(std::span<Sc25519> xs) {
+  // prefix[i] = product of the nonzero xs[0..i]; zeros are skipped so they
+  // neither poison the product nor get an inverse.
+  std::vector<Sc25519> prefix(xs.size());
+  Sc25519 acc = one();
+  for (size_t i = 0; i < xs.size(); ++i) {
+    if (!xs[i].is_zero()) acc = acc * xs[i];
+    prefix[i] = acc;
+  }
+  // Walk back: inv holds (product of the nonzero xs[0..i])^-1.
+  Sc25519 inv = acc.invert();
+  for (size_t i = xs.size(); i-- > 0;) {
+    if (xs[i].is_zero()) continue;
+    const Sc25519 xi_inv = i > 0 ? inv * prefix[i - 1] : inv;
+    inv = inv * xs[i];
+    xs[i] = xi_inv;
+  }
 }
 
 bool Sc25519::is_zero() const { return v_[0] == 0 && v_[1] == 0 && v_[2] == 0 && v_[3] == 0; }

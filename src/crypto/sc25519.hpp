@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "support/bytes.hpp"
 
@@ -47,6 +48,11 @@ class Sc25519 {
 
   /// Multiplicative inverse via Fermat (undefined for zero; returns zero).
   Sc25519 invert() const;
+
+  /// Invert every element in place with a single invert() (Montgomery's
+  /// trick: 3(k - 1) multiplications replace k - 1 inversions). Element-wise
+  /// equal to invert(), zeros included.
+  static void batch_invert(std::span<Sc25519> xs);
 
   bool is_zero() const;
   bool operator==(const Sc25519& o) const = default;

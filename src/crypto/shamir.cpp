@@ -45,14 +45,42 @@ Sc25519 lagrange_at_zero(std::span<const uint32_t> points, size_t j) {
   return num * den.invert();
 }
 
+std::vector<Sc25519> lagrange_coefficients_at_zero(std::span<const uint32_t> points) {
+  const size_t k = points.size();
+  std::vector<Sc25519> xs(k), num(k), den(k);
+  for (size_t j = 0; j < k; ++j) xs[j] = Sc25519::from_u64(points[j]);
+  // num[j] = prod_{m != j} x_m, from prefix and suffix products.
+  Sc25519 acc = Sc25519::one();
+  for (size_t j = 0; j < k; ++j) {
+    num[j] = acc;
+    acc = acc * xs[j];
+  }
+  acc = Sc25519::one();
+  for (size_t j = k; j-- > 0;) {
+    num[j] = num[j] * acc;
+    acc = acc * xs[j];
+  }
+  // den[j] = prod_{m != j} (x_m - x_j).
+  for (size_t j = 0; j < k; ++j) {
+    den[j] = Sc25519::one();
+    for (size_t m = 0; m < k; ++m) {
+      if (m != j) den[j] = den[j] * (xs[m] - xs[j]);
+    }
+    if (den[j].is_zero())
+      throw std::invalid_argument("lagrange_coefficients_at_zero: duplicate points");
+  }
+  Sc25519::batch_invert(den);
+  for (size_t j = 0; j < k; ++j) num[j] = num[j] * den[j];
+  return num;
+}
+
 Sc25519 shamir_reconstruct(std::span<const ShamirShare> shares) {
   std::vector<uint32_t> points;
   points.reserve(shares.size());
   for (const auto& s : shares) points.push_back(s.index);
+  const std::vector<Sc25519> lambdas = lagrange_coefficients_at_zero(points);
   Sc25519 secret;
-  for (size_t j = 0; j < shares.size(); ++j) {
-    secret = secret + shares[j].value * lagrange_at_zero(points, j);
-  }
+  for (size_t j = 0; j < shares.size(); ++j) secret = secret + shares[j].value * lambdas[j];
   return secret;
 }
 

@@ -29,6 +29,12 @@ std::vector<ShamirShare> shamir_share(const Sc25519& secret, size_t t, size_t n,
 /// evaluation points: lambda_j = prod_{m != j} x_m / (x_m - x_j).
 Sc25519 lagrange_at_zero(std::span<const uint32_t> points, size_t j);
 
+/// Every Lagrange coefficient at zero: element j equals
+/// lagrange_at_zero(points, j), but the k denominators share one scalar
+/// inversion (Sc25519::batch_invert) instead of one each. Throws
+/// std::invalid_argument on duplicate points.
+std::vector<Sc25519> lagrange_coefficients_at_zero(std::span<const uint32_t> points);
+
 /// Reconstruct the secret from any t+1 (or more) distinct shares.
 Sc25519 shamir_reconstruct(std::span<const ShamirShare> shares);
 

@@ -11,6 +11,7 @@
 
 #include "support/json.hpp"
 #include "support/log.hpp"
+#include "support/proc.hpp"
 
 #if defined(__linux__)
 #include <sys/syscall.h>
@@ -81,22 +82,6 @@ int64_t proc_thread_cpu_ns(uint64_t tid) {
 #else
   (void)tid;
   return -1;
-#endif
-}
-
-/// VmRSS / VmHWM in kB from /proc/self/status; -1 when unavailable.
-void proc_rss_kb(int64_t* rss_kb, int64_t* peak_kb) {
-  *rss_kb = -1;
-  *peak_kb = -1;
-#if defined(__linux__)
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    int64_t* dst = nullptr;
-    if (line.rfind("VmRSS:", 0) == 0) dst = rss_kb;
-    else if (line.rfind("VmHWM:", 0) == 0) dst = peak_kb;
-    if (dst != nullptr) *dst = std::strtoll(line.c_str() + 6, nullptr, 10);
-  }
 #endif
 }
 
@@ -208,7 +193,9 @@ RuntimeReport RuntimeProfiler::make_report() const {
   rep.threads = static_cast<uint32_t>(threads_);
   rep.wall_ns = now - start_ns_;
   rep.defer_high_water = defer_high_water_;
-  proc_rss_kb(&rep.rss_kb, &rep.peak_rss_kb);
+  const support::ProcMemory mem = support::proc_memory();
+  rep.rss_kb = mem.rss_kb;
+  rep.peak_rss_kb = mem.peak_rss_kb;
 
   const uint32_t lanes = std::min<uint32_t>(next_lane_.load(kRelaxed), kMaxLanes);
   for (uint32_t i = 0; i < lanes; ++i) {

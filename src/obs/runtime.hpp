@@ -73,7 +73,7 @@ enum class LockSite : uint8_t {
   kExecutorQueue = 0,  ///< support::Executor batch deque mutex
   kVerifierCache,      ///< per-party verdict-cache shard mutexes
   kInternArtifacts,    ///< InternStore artifact shard mutexes
-  kInternVerdicts,     ///< InternStore verdict-memo shard mutexes
+  kInternVerdicts,     ///< InternStore verdict- and beacon-memo shard mutexes
   kCount
 };
 constexpr size_t kLockSites = static_cast<size_t>(LockSite::kCount);

@@ -1,31 +1,15 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "support/defer.hpp"
 #include "support/json.hpp"
+#include "support/proc.hpp"
 
 namespace icc::obs {
 
 namespace {
-
-/// VmRSS / VmHWM in kB from /proc/self/status; -1 when unavailable.
-void proc_rss_kb(int64_t* rss_kb, int64_t* peak_kb) {
-  *rss_kb = -1;
-  *peak_kb = -1;
-#if defined(__linux__)
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    int64_t* dst = nullptr;
-    if (line.rfind("VmRSS:", 0) == 0) dst = rss_kb;
-    else if (line.rfind("VmHWM:", 0) == 0) dst = peak_kb;
-    if (dst != nullptr) *dst = std::strtoll(line.c_str() + 6, nullptr, 10);
-  }
-#endif
-}
 
 namespace json = support::json;
 
@@ -203,7 +187,9 @@ void TimeSeries::close_window(int64_t boundary_us) {
   if (config_.wall) {
     SeriesWall ws;
     ws.seq = w.seq;
-    proc_rss_kb(&ws.rss_kb, &ws.peak_rss_kb);
+    const support::ProcMemory mem = support::proc_memory();
+    ws.rss_kb = mem.rss_kb;
+    ws.peak_rss_kb = mem.peak_rss_kb;
     ws.dropped = dropped_;
     if (stream_.is_open()) {
       stream_ << wall_json(ws) << "\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "crypto/sha256.hpp"
 #include "obs/runtime.hpp"
 #include "support/fingerprint.hpp"
 
@@ -59,7 +60,7 @@ std::shared_ptr<const InternedArtifact> InternStore::intern(
   stats_.parses.fetch_add(1, kRelaxed);
 
   if (options_.artifact_capacity > 0 &&
-      s.current_entries >= std::max<size_t>(1, options_.artifact_capacity / (2 * kShards))) {
+      s.current_entries >= per_generation(options_.artifact_capacity)) {
     s.previous = std::move(s.current);
     s.current.clear();
     s.current_entries = 0;
@@ -72,8 +73,7 @@ std::shared_ptr<const InternedArtifact> InternStore::intern(
 std::optional<bool> InternStore::verdict(const types::Hash& key) const {
   const VerdictShard& s = verdict_shard(key);
   obs::SampledLock lk(s.mu, runtime_, obs::LockSite::kInternVerdicts);
-  if (auto it = s.current.find(key); it != s.current.end()) return it->second;
-  if (auto it = s.previous.find(key); it != s.previous.end()) return it->second;
+  if (const bool* v = s.find(key)) return *v;
   return std::nullopt;
 }
 
@@ -81,16 +81,23 @@ void InternStore::remember_verdict(const types::Hash& key, bool verdict) {
   if (options_.verdict_capacity == 0) return;
   VerdictShard& s = verdict_shard(key);
   obs::SampledLock lk(s.mu, runtime_, obs::LockSite::kInternVerdicts);
-  if (s.current.size() >= std::max<size_t>(1, options_.verdict_capacity / (2 * kShards))) {
-    s.previous = std::move(s.current);
-    s.current.clear();
-  }
-  s.current[key] = verdict;
+  s.insert(key, verdict, per_generation(options_.verdict_capacity));
 }
 
 void InternStore::prime_verdict(const types::Hash& key) {
   remember_verdict(key, true);
   stats_.verdicts_primed.fetch_add(1, kRelaxed);
+}
+
+Bytes InternStore::beacon(BytesView message, const std::function<Bytes()>& combine) {
+  const types::Hash key = crypto::Sha256::hash(message);
+  BeaconShard& s = beacons_[key[0] % kShards];
+  obs::SampledLock lk(s.mu, runtime_, obs::LockSite::kInternVerdicts);
+  if (const Bytes* value = s.find(key)) return *value;
+  Bytes value = combine();
+  stats_.beacon_combines.fetch_add(1, kRelaxed);
+  if (!value.empty()) s.insert(key, value, per_generation(kBeaconCapacity));
+  return value;
 }
 
 InternStore::Stats InternStore::stats() const {
@@ -100,6 +107,7 @@ InternStore::Stats InternStore::stats() const {
   s.real_verifications = stats_.real_verifications.load(kRelaxed);
   s.verdict_memo_hits = stats_.verdict_memo_hits.load(kRelaxed);
   s.verdicts_primed = stats_.verdicts_primed.load(kRelaxed);
+  s.beacon_combines = stats_.beacon_combines.load(kRelaxed);
   return s;
 }
 
@@ -117,7 +125,16 @@ size_t InternStore::cached_verdicts() const {
   size_t total = 0;
   for (const VerdictShard& s : verdicts_) {
     std::lock_guard<std::mutex> lk(s.mu);
-    total += s.current.size() + s.previous.size();
+    total += s.size();
+  }
+  return total;
+}
+
+size_t InternStore::cached_beacons() const {
+  size_t total = 0;
+  for (const BeaconShard& s : beacons_) {
+    std::lock_guard<std::mutex> lk(s.mu);
+    total += s.size();
   }
   return total;
 }

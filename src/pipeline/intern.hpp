@@ -21,13 +21,19 @@
 //     Per-party Verifier stats stay *logical* (they count what a lone party
 //     would have verified), so F-PIPE/Table 1 reporting and the journal are
 //     byte-identical with interning on or off.
+//   * the *beacon memo* maps SHA-256(types::beacon_message(round, prev)) to
+//     the round's 32-byte beacon value. The beacon is a unique threshold
+//     signature: any t+1 valid shares combine to the same value, so after a
+//     party has checked its own shares the first combine of a round answers
+//     every other party that reaches it (Verifier::beacon_combine).
 //
-// Both tables are sharded (mutex per shard, two-generation rotation) like
-// the PR 6 per-party verdict cache. The artifact table's counters are exact
-// at any thread count because creation happens under the shard lock; the
-// verdict memo's real/memo-hit counters may differ by the few verifies that
-// race between check and remember — they are reported by benches (F-INTERN)
-// but deliberately kept out of metrics_json and the journal.
+// All tables are sharded (mutex per shard, two-generation rotation) like
+// the per-party verdict cache. The artifact table's and the beacon memo's
+// counters are exact at any thread count because parsing and combining
+// happen under the shard lock; the verdict memo's real/memo-hit counters may
+// differ by the few verifies that race between check and remember — they
+// are reported by benches (F-INTERN) but deliberately kept out of
+// metrics_json and the journal.
 //
 // Fidelity: real deployments cannot share caches across machines. The store
 // only changes *wall-clock* cost — virtual-time behaviour, commits, metrics
@@ -36,8 +42,10 @@
 // per-replica CPU honestly must run with ClusterOptions::intern = false.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -68,12 +76,17 @@ class InternStore {
     size_t verdict_capacity = 1 << 16;   ///< shared verdict memo entries
   };
 
+  /// Beacon values kept (two-generation bound): parties are at most a few
+  /// rounds apart, so this covers hundreds of rounds of slack.
+  static constexpr size_t kBeaconCapacity = 1 << 10;
+
   struct Stats {
     uint64_t parses = 0;             ///< distinct payloads decoded (exact, any thread count)
     uint64_t decode_hits = 0;        ///< intern() calls answered by an existing entry
     uint64_t real_verifications = 0; ///< crypto checks that actually ran, cluster-wide
     uint64_t verdict_memo_hits = 0;  ///< checks answered by the shared memo
     uint64_t verdicts_primed = 0;    ///< verdicts inserted at sign/combine time
+    uint64_t beacon_combines = 0;    ///< beacon combines run (exact, any thread count)
   };
 
   InternStore() = default;
@@ -93,6 +106,15 @@ class InternStore {
   /// construction.
   void prime_verdict(const types::Hash& key);
 
+  // --- shared beacon memo ---
+  /// The beacon value for `message` (a types::beacon_message). On a miss
+  /// `combine` runs under the owning shard's lock — so `beacon_combines`
+  /// counts distinct messages exactly — and a non-empty result is memoized;
+  /// an empty (failed) result is returned but never remembered. Callers
+  /// must only ask once they hold t+1 verified shares from distinct
+  /// signers, so that any combine yields the round's unique value.
+  Bytes beacon(BytesView message, const std::function<Bytes()>& combine);
+
   // --- F-INTERN accounting (bench-only; see header comment) ---
   void count_real(uint64_t n) { stats_.real_verifications.fetch_add(n, kRelaxed); }
   void count_memo_hit(uint64_t n = 1) { stats_.verdict_memo_hits.fetch_add(n, kRelaxed); }
@@ -100,6 +122,7 @@ class InternStore {
   Stats stats() const;
   size_t interned_artifacts() const;
   size_t cached_verdicts() const;
+  size_t cached_beacons() const;
 
   /// Attach the wall-clock profiler (obs/runtime.hpp): shard lock waits are
   /// sampled and first-parse work gets wall-time spans. Observation only —
@@ -118,11 +141,30 @@ class InternStore {
     std::unordered_map<uint64_t, Chain> previous;
     size_t current_entries = 0;  ///< artifacts (not buckets) in current
   };
-  struct VerdictShard {
+  /// A digest-keyed memo shard; callers hold `mu` around every member call.
+  template <typename V>
+  struct MemoShard {
     mutable std::mutex mu;
-    std::unordered_map<types::Hash, bool, types::HashHasher> current;
-    std::unordered_map<types::Hash, bool, types::HashHasher> previous;
+    std::unordered_map<types::Hash, V, types::HashHasher> current;
+    std::unordered_map<types::Hash, V, types::HashHasher> previous;
+
+    const V* find(const types::Hash& key) const {
+      if (auto it = current.find(key); it != current.end()) return &it->second;
+      if (auto it = previous.find(key); it != previous.end()) return &it->second;
+      return nullptr;
+    }
+    /// Insert, rotating generations once `current` holds `per_gen` entries.
+    void insert(const types::Hash& key, V value, size_t per_gen) {
+      if (current.size() >= per_gen) {
+        previous = std::move(current);
+        current.clear();
+      }
+      current[key] = std::move(value);
+    }
+    size_t size() const { return current.size() + previous.size(); }
   };
+  using VerdictShard = MemoShard<bool>;
+  using BeaconShard = MemoShard<Bytes>;
 
   ArtifactShard& artifact_shard(uint64_t fp) { return artifacts_[fp % kShards]; }
   const ArtifactShard& artifact_shard(uint64_t fp) const { return artifacts_[fp % kShards]; }
@@ -130,11 +172,16 @@ class InternStore {
   const VerdictShard& verdict_shard(const types::Hash& key) const {
     return verdicts_[key[0] % kShards];
   }
+  /// Per-shard generation size for a table of `capacity` entries.
+  static size_t per_generation(size_t capacity) {
+    return std::max<size_t>(1, capacity / (2 * kShards));
+  }
 
   Options options_;
   obs::RuntimeProfiler* runtime_ = nullptr;
   std::array<ArtifactShard, kShards> artifacts_;
   std::array<VerdictShard, kShards> verdicts_;
+  std::array<BeaconShard, kShards> beacons_;
 
   struct StatsCells {
     std::atomic<uint64_t> parses{0};
@@ -142,6 +189,7 @@ class InternStore {
     std::atomic<uint64_t> real_verifications{0};
     std::atomic<uint64_t> verdict_memo_hits{0};
     std::atomic<uint64_t> verdicts_primed{0};
+    std::atomic<uint64_t> beacon_combines{0};
   };
   mutable StatsCells stats_;
 };

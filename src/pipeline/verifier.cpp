@@ -309,7 +309,21 @@ Bytes Verifier::beacon_combine(
     if (verify_beacon_share(s.first, message, s.second)) valid.push_back(s);
   }
   stats_.combine_share_checks_skipped.fetch_add(valid.size(), kRelaxed);
-  return provider_->beacon_combine_preverified(message, valid);
+  auto combine = [&] { return provider_->beacon_combine_preverified(message, valid); };
+  if (intern_ == nullptr) return combine();
+  // The beacon is unique: every t+1 valid shares from distinct signers
+  // combine to the same value, so the cluster-wide memo may answer once this
+  // party holds that many. With fewer the combine fails and is not memoized.
+  std::vector<uint8_t> seen(n(), 0);
+  size_t distinct = 0;
+  for (const auto& [signer, share] : valid) {
+    if (signer < seen.size() && !seen[signer]) {
+      seen[signer] = 1;
+      ++distinct;
+    }
+  }
+  if (distinct < beacon_threshold()) return combine();
+  return intern_->beacon(message, combine);
 }
 
 Verifier::Stats Verifier::stats() const {

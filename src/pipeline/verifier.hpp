@@ -150,7 +150,9 @@ class Verifier {
   /// other party's check. The per-party logical stats above are computed
   /// before the memo is consulted and are byte-identical with or without it.
   /// Requires options.cache (the memo shares the per-party cache keys); the
-  /// harness only attaches it when the verdict cache stage is on.
+  /// harness only attaches it when the verdict cache stage is on. Its beacon
+  /// memo answers beacon_combine once this party's own checks have passed
+  /// t+1 shares, so each round's beacon is combined once per cluster.
   void attach_intern(InternStore* intern) { intern_ = intern; }
 
  private:

@@ -6,14 +6,21 @@
 // mul_base_ladder) on random inputs and on the algebraic edge cases:
 // k = 0, k = 1, k = l - 1, the identity point, and the small-order torsion
 // points. Also pins down the Barrett scalar reduction with wide-input
-// identities.
+// identities, and checks the beacon combine (batched Lagrange coefficients
+// plus one multi-scalar multiplication) against the per-share reference:
+// one lagrange_at_zero and one Point::mul per share.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
+#include <unordered_set>
 #include <vector>
 
+#include "crypto/beacon.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/sha512.hpp"
+#include "crypto/shamir.hpp"
 
 namespace icc::crypto {
 namespace {
@@ -232,6 +239,108 @@ TEST(BarrettReduction, WideInputIdentities) {
   lb[0] += 1;  // l + 1
   EXPECT_FALSE(Sc25519::is_canonical(lb));
   EXPECT_EQ(Sc25519::from_bytes_mod_l(lb), Sc25519::one());
+}
+
+TEST(BatchInversion, MatchesInvertElementByElement) {
+  const Sc25519 l_minus_1 = Sc25519::one().negate();
+  for (size_t k : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{40}}) {
+    std::vector<Sc25519> xs;
+    for (size_t i = 0; i < k; ++i) xs.push_back(fuzz_scalar(10000 + 100 * k + i));
+    if (k >= 7) {  // edge elements, zeros included (they must stay zero)
+      xs[0] = Sc25519::zero();
+      xs[2] = Sc25519::one();
+      xs[4] = l_minus_1;
+      xs[6] = Sc25519::zero();
+    }
+    std::vector<Sc25519> batch = xs;
+    Sc25519::batch_invert(batch);
+    for (size_t i = 0; i < k; ++i)
+      EXPECT_EQ(batch[i], xs[i].invert()) << "k = " << k << ", element " << i;
+  }
+  std::vector<Sc25519> zeros(3);
+  Sc25519::batch_invert(zeros);
+  for (const Sc25519& z : zeros) EXPECT_TRUE(z.is_zero());
+}
+
+TEST(BatchInversion, LagrangeCoefficientsMatchPerIndex) {
+  Xoshiro256 rng(11);
+  for (size_t k : {size_t{1}, size_t{2}, size_t{5}, size_t{34}}) {
+    std::vector<uint32_t> points;
+    std::unordered_set<uint32_t> used;
+    while (points.size() < k) {
+      const uint32_t x = static_cast<uint32_t>(1 + rng.below(1000));
+      if (used.insert(x).second) points.push_back(x);
+    }
+    const std::vector<Sc25519> all = lagrange_coefficients_at_zero(points);
+    ASSERT_EQ(all.size(), k);
+    for (size_t j = 0; j < k; ++j)
+      EXPECT_EQ(all[j], lagrange_at_zero(points, j)) << "k = " << k << ", j = " << j;
+  }
+  EXPECT_TRUE(lagrange_coefficients_at_zero(std::vector<uint32_t>{}).empty());
+  EXPECT_THROW(lagrange_coefficients_at_zero(std::vector<uint32_t>{3, 5, 3}),
+               std::invalid_argument);
+}
+
+// The combine as it was before the batched kernel: the first `threshold`
+// distinct signers, one inversion and one variable-base mul per share.
+std::optional<Point> reference_beacon_combine(std::span<const BeaconShare> shares,
+                                              const BeaconPublic& pub) {
+  std::vector<const BeaconShare*> chosen;
+  std::unordered_set<uint32_t> seen;
+  for (const auto& s : shares) {
+    if (seen.insert(s.signer).second) chosen.push_back(&s);
+    if (chosen.size() == pub.threshold) break;
+  }
+  if (chosen.size() < pub.threshold) return std::nullopt;
+  std::vector<uint32_t> points;
+  for (const auto* s : chosen) points.push_back(s->signer + 1);
+  Point sigma;
+  for (size_t j = 0; j < chosen.size(); ++j)
+    sigma = sigma + chosen[j]->sigma.mul(lagrange_at_zero(points, j));
+  return sigma;
+}
+
+TEST(BeaconCombineEquivalence, MatchesPerShareReference) {
+  for (size_t n : {size_t{4}, size_t{16}, size_t{32}, size_t{100}}) {
+    const size_t t = (n - 1) / 3;
+    Xoshiro256 rng(1000 + n);
+    const BeaconKeys keys = beacon_keygen(n, t, rng);
+    const Bytes msg = rng.bytes(32);
+    std::vector<BeaconShare> all;
+    for (uint32_t i = 0; i < n; ++i)
+      all.push_back(beacon_sign_share(msg, i, keys.secret_shares[i], keys.pub));
+    const Point truth = *reference_beacon_combine(all, keys.pub);
+
+    for (int trial = 0; trial < 12; ++trial) {
+      // A shuffled random subset: sometimes short of the threshold, always
+      // holding signer n - 1 on even trials.
+      std::vector<BeaconShare> subset = all;
+      std::shuffle(subset.begin(), subset.end(), rng);
+      const size_t take = trial % 4 == 3 ? t : t + 1 + rng.below(n - t);
+      subset.resize(take);
+      if (trial % 2 == 0 && take > 0 &&
+          std::none_of(subset.begin(), subset.end(),
+                       [&](const BeaconShare& s) { return s.signer == n - 1; }))
+        subset[rng.below(take)] = all[n - 1];
+      // Duplicate signers: repeat a share, and on odd trials put a bogus
+      // share ahead of its signer's real one. The first occurrence of a
+      // signer wins in both implementations, so odd trials combine to a
+      // wrong value — the same wrong value.
+      subset.insert(subset.begin() + 1, subset[0]);
+      if (trial % 2 == 1) {
+        BeaconShare bogus = subset[0];
+        bogus.sigma = bogus.sigma + Point::base();
+        subset.insert(subset.begin(), bogus);
+      }
+
+      const auto expected = reference_beacon_combine(subset, keys.pub);
+      const auto got = beacon_combine(subset, keys.pub);
+      ASSERT_EQ(got.has_value(), expected.has_value()) << "n = " << n << ", trial " << trial;
+      if (!expected) continue;
+      EXPECT_EQ(*got, *expected) << "n = " << n << ", trial " << trial;
+      EXPECT_EQ(*got == truth, trial % 2 == 0) << "n = " << n << ", trial " << trial;
+    }
+  }
 }
 
 }  // namespace

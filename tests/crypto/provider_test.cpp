@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "crypto/ed25519.hpp"
+
 namespace icc::crypto {
 namespace {
 
@@ -133,6 +137,50 @@ TEST_P(ProviderTest, BeaconCombineRequiresThreshold) {
   for (PartyIndex i = 0; i + 1 < p->beacon_threshold(); ++i)
     shares.emplace_back(i, p->beacon_sign_share(i, msg));
   EXPECT_TRUE(p->beacon_combine(msg, shares).empty());
+}
+
+// The preverified combine decodes only the sigmas it uses, two at a time.
+// Any order, repeated signers, malformed entries and odd counts must give the
+// verifying combine's value, and fewer than t+1 signers must give nothing.
+TEST_P(ProviderTest, PreverifiedBeaconCombineMatchesVerifyingCombine) {
+  auto p = make(GetParam());
+  const Bytes msg = str_bytes("round 12");
+  std::vector<std::pair<PartyIndex, Bytes>> all;
+  for (PartyIndex i = 0; i < p->n(); ++i) all.emplace_back(i, p->beacon_sign_share(i, msg));
+  const Bytes value = p->beacon_combine(msg, all);
+  ASSERT_FALSE(value.empty());
+
+  // A truncated share, then every share twice in reverse order.
+  std::vector<std::pair<PartyIndex, Bytes>> mixed;
+  mixed.emplace_back(all[1].first, Bytes(all[1].second.begin(), all[1].second.end() - 1));
+  for (size_t i = all.size(); i-- > 0;) {
+    mixed.push_back(all[i]);
+    mixed.push_back(all[i]);
+  }
+  EXPECT_EQ(p->beacon_combine_preverified(msg, mixed), value);
+
+  const size_t need = p->beacon_threshold();
+  for (size_t k = 1; k <= need; ++k) {
+    const std::span<const std::pair<PartyIndex, Bytes>> first(all.data(), k);
+    EXPECT_EQ(p->beacon_combine_preverified(msg, first), k < need ? Bytes{} : value)
+        << k << " shares";
+  }
+
+  if (GetParam().kind != Kind::kReal) return;
+  // A share whose sigma is not a curve point is skipped, here while paired
+  // with a good one, and a later share from the same signer still counts:
+  // exactly t+1 decodable signers follow it.
+  Bytes bad = all[0].second;
+  for (uint8_t y = 2;; ++y) {
+    std::fill(bad.begin() + 4, bad.begin() + 36, 0);
+    bad[4] = y;
+    if (!Point::decompress(BytesView(bad).subspan(4, 32))) break;
+  }
+  std::vector<std::pair<PartyIndex, Bytes>> with_bad = {{0, bad}, all[1], all[0]};
+  with_bad.insert(with_bad.end(), all.begin() + 2, all.begin() + need);
+  EXPECT_EQ(p->beacon_combine_preverified(msg, with_bad), value);
+  with_bad.erase(with_bad.begin() + 2);  // without signer 0's good share: t signers
+  EXPECT_TRUE(p->beacon_combine_preverified(msg, with_bad).empty());
 }
 
 TEST_P(ProviderTest, DeterministicAcrossInstancesWithSameSeed) {

@@ -17,9 +17,12 @@
 
 #include "harness/cluster.hpp"
 #include "obs/journal.hpp"
+#include "test_paths.hpp"
 
 namespace icc {
 namespace {
+
+using testing_paths::test_path;
 
 std::string write_honest_journal(const std::string& path) {
   harness::ClusterOptions o;
@@ -75,8 +78,7 @@ int run_tool_stderr(const std::string& cmd, const std::string& err_path, std::st
 class ToolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
-    journal_ = dir_ + "icc_tool_test_journal.jsonl";
+    journal_ = test_path("journal.jsonl");
     jsonl_ = write_honest_journal(journal_);
     ASSERT_FALSE(jsonl_.empty());
   }
@@ -94,21 +96,21 @@ class ToolTest : public ::testing::Test {
         {cut, "line " + std::to_string(lines) + ":"},
     };
     for (const auto& [text, line] : cases) {
-      const std::string path = dir_ + "icc_tool_test_malformed.jsonl";
+      const std::string path = test_path("malformed.jsonl");
       std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
       std::string err;
-      EXPECT_EQ(run_tool_stderr(tool + " " + path, dir_ + "icc_tool_test_stderr.txt", &err), 2)
+      EXPECT_EQ(run_tool_stderr(tool + " " + path, test_path("stderr.txt"), &err), 2)
           << text.substr(0, 40);
       EXPECT_NE(err.find(line), std::string::npos) << err;
     }
   }
 
-  std::string dir_, journal_, jsonl_;
+  std::string journal_, jsonl_;
 };
 
 TEST_F(ToolTest, AuditCsvHasDocumentedColumnsAndOneRowPerFinalizedRound) {
-  std::string report_path = dir_ + "icc_tool_test_report.json";
-  std::string csv_path = dir_ + "icc_tool_test_rounds.csv";
+  std::string report_path = test_path("report.json");
+  std::string csv_path = test_path("rounds.csv");
   ASSERT_EQ(run_tool(std::string(ICC_AUDIT_BIN) + " " + journal_ + " --report " +
                      report_path + " --csv " + csv_path + " --quiet"),
             0);
@@ -140,7 +142,7 @@ TEST_F(ToolTest, AuditCsvHasDocumentedColumnsAndOneRowPerFinalizedRound) {
 
 TEST_F(ToolTest, AuditExitCodeContract) {
   // 1: a tampered journal (forged second finalization) names its invariant.
-  std::string tampered = dir_ + "icc_tool_test_tampered.jsonl";
+  std::string tampered = test_path("tampered.jsonl");
   size_t at = jsonl_.find("\"type\":\"finalized\"");
   ASSERT_NE(at, std::string::npos);
   auto parsed = obs::Journal::parse_jsonl(jsonl_);
@@ -159,17 +161,15 @@ TEST_F(ToolTest, AuditExitCodeContract) {
 
   // 2: usage and I/O errors.
   EXPECT_EQ(run_tool(std::string(ICC_AUDIT_BIN)), 2);
-  EXPECT_EQ(run_tool(std::string(ICC_AUDIT_BIN) + " " + dir_ +
-                     "icc_tool_test_missing.jsonl"),
-            2);
+  EXPECT_EQ(run_tool(std::string(ICC_AUDIT_BIN) + " " + test_path("missing.jsonl")), 2);
   EXPECT_EQ(run_tool(std::string(ICC_AUDIT_BIN) + " " + journal_ + " --bogus"), 2);
   expect_malformed_inputs_exit_two(ICC_AUDIT_BIN);
 }
 
 TEST_F(ToolTest, CritpathExitCodeContract) {
   // 0: honest journal passes the derived hop check and writes its artifacts.
-  std::string report_path = dir_ + "icc_tool_test_critpath.json";
-  std::string dot_path = dir_ + "icc_tool_test_round.dot";
+  std::string report_path = test_path("critpath.json");
+  std::string dot_path = test_path("round.dot");
   ASSERT_EQ(run_tool(std::string(ICC_CRITPATH_BIN) + " " + journal_ +
                      " --check-hops --report " + report_path + " --dot " + dot_path +
                      " --quiet"),
@@ -184,7 +184,7 @@ TEST_F(ToolTest, CritpathExitCodeContract) {
             1);
 
   // 1: a deleted recv line is rejected with a named causal error.
-  std::string tampered = dir_ + "icc_tool_test_norecv.jsonl";
+  std::string tampered = test_path("norecv.jsonl");
   size_t at = jsonl_.find("\"type\":\"recv\"");
   ASSERT_NE(at, std::string::npos);
   size_t bol = jsonl_.rfind('\n', at);
@@ -196,9 +196,7 @@ TEST_F(ToolTest, CritpathExitCodeContract) {
 
   // 2: usage and I/O errors.
   EXPECT_EQ(run_tool(std::string(ICC_CRITPATH_BIN)), 2);
-  EXPECT_EQ(run_tool(std::string(ICC_CRITPATH_BIN) + " " + dir_ +
-                     "icc_tool_test_missing.jsonl"),
-            2);
+  EXPECT_EQ(run_tool(std::string(ICC_CRITPATH_BIN) + " " + test_path("missing.jsonl")), 2);
   expect_malformed_inputs_exit_two(ICC_CRITPATH_BIN);
 }
 

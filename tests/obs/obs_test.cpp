@@ -10,9 +10,11 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "support/json.hpp"
+#include "test_paths.hpp"
 
 namespace icc {
 namespace {
+using testing_paths::test_path;
 
 // ---------------------------------------------------------------------------
 // Metric primitives
@@ -319,7 +321,7 @@ TEST(JournalTrace, TelemetryOffOrNoJournalHasNoTrace) {
   harness::Cluster no_journal(observed_options(4, true));
   no_journal.run_for(sim::seconds(1));
   EXPECT_EQ(no_journal.trace_json(), "{}");
-  EXPECT_FALSE(no_journal.dump_trace(::testing::TempDir() + "icc_obs_no_journal.json"));
+  EXPECT_FALSE(no_journal.dump_trace(test_path("no_journal.json")));
 }
 
 TEST(ClusterObs, CorruptLeaderRoundsAreTagged) {

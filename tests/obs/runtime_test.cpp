@@ -21,9 +21,11 @@
 
 #include "harness/cluster.hpp"
 #include "obs/runtime.hpp"
+#include "test_paths.hpp"
 
 namespace icc {
 namespace {
+using testing_paths::test_path;
 
 struct DeterministicBytes {
   std::string journal;
@@ -235,8 +237,7 @@ int run_tool(const std::string& cmd) {
 
 // Exit-code contract of the offline analyzer, as a real subprocess.
 TEST(RuntimeToolTest, ExitCodeContract) {
-  const std::string dir = ::testing::TempDir();
-  const std::string good_path = dir + "icc_runtime_test_report.json";
+  const std::string good_path = test_path("report.json");
   harness::ClusterOptions o = base_options(2, true);
   harness::Cluster c(o);
   c.run_for(sim::seconds(2));
@@ -248,10 +249,8 @@ TEST(RuntimeToolTest, ExitCodeContract) {
 
   // 2: usage, missing file, malformed bytes.
   EXPECT_EQ(run_tool(std::string(ICC_RUNTIME_BIN)), 2);
-  EXPECT_EQ(run_tool(std::string(ICC_RUNTIME_BIN) + " " + dir +
-                     "icc_runtime_test_missing.json"),
-            2);
-  const std::string bad_path = dir + "icc_runtime_test_malformed.json";
+  EXPECT_EQ(run_tool(std::string(ICC_RUNTIME_BIN) + " " + test_path("missing.json")), 2);
+  const std::string bad_path = test_path("malformed.json");
   std::ofstream(bad_path, std::ios::binary | std::ios::trunc)
       << "{\"schema\":\"icc-runtime/v1\",\"threads\":2,";
   EXPECT_EQ(run_tool(std::string(ICC_RUNTIME_BIN) + " " + bad_path), 2);

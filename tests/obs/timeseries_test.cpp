@@ -17,9 +17,11 @@
 
 #include "harness/cluster.hpp"
 #include "obs/timeseries.hpp"
+#include "test_paths.hpp"
 
 namespace {
 using namespace icc;
+using testing_paths::test_path;
 
 harness::ClusterOptions base_options(harness::Protocol p, size_t threads, bool series) {
   harness::ClusterOptions o;
@@ -159,7 +161,7 @@ TEST(TimeSeriesTest, HierarchicalDecimationKeepsCoverage) {
 // large enough in-memory budget (no decimation) the file must equal the
 // in-memory export byte for byte.
 TEST(TimeSeriesTest, StreamMatchesInMemoryExport) {
-  const std::string path = ::testing::TempDir() + "timeseries_stream_test.jsonl";
+  const std::string path = test_path("stream.jsonl");
   harness::ClusterOptions o = base_options(harness::Protocol::kIcc0, 2, true);
   harness::Cluster c(o);
   ASSERT_TRUE(c.stream_series(path));
@@ -261,8 +263,7 @@ std::string synth_series(bool rss_ramp, bool biased_leader) {
 
 // 0: a real (clean) soak series passes --check.
 TEST(DriftToolTest, CleanRunPasses) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "drift_clean_series.jsonl";
+  const std::string path = test_path("clean_series.jsonl");
   harness::ClusterOptions o = base_options(harness::Protocol::kIcc0, 1, true);
   o.obs.series_window_us = 1'000'000;
   o.obs.series_wall = true;  // exercise the wall lines + RSS detector
@@ -275,11 +276,10 @@ TEST(DriftToolTest, CleanRunPasses) {
 
 // 1: an RSS ramp trips --check, and the report names the rss detector.
 TEST(DriftToolTest, RssRampFailsNamingDetector) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "drift_rss_ramp.jsonl";
+  const std::string path = test_path("rss_ramp.jsonl");
   write_file(path, synth_series(true, false));
   const std::string report = run_tool_stdout(
-      std::string(ICC_DRIFT_BIN) + " " + path + " --check --quiet", dir + "drift_rss.out");
+      std::string(ICC_DRIFT_BIN) + " " + path + " --check --quiet", test_path("rss.out"));
   EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + path + " --check"), 1);
   EXPECT_NE(report.find("\"failed\":[\"rss\"]"), std::string::npos) << report;
 }
@@ -287,12 +287,11 @@ TEST(DriftToolTest, RssRampFailsNamingDetector) {
 // 1: a beacon-bias (one party leading far too often) trips the chi-square
 // uniformity detector by name.
 TEST(DriftToolTest, BiasedLeaderFailsNamingDetector) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "drift_biased.jsonl";
+  const std::string path = test_path("biased.jsonl");
   write_file(path, synth_series(false, true));
   const std::string report = run_tool_stdout(
       std::string(ICC_DRIFT_BIN) + " " + path + " --check --quiet",
-      dir + "drift_biased.out");
+      test_path("biased.out"));
   EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + path + " --check"), 1);
   EXPECT_NE(report.find("\"leaders\""), std::string::npos) << report;
   EXPECT_NE(report.find("\"failed\":[\"leaders\"]"), std::string::npos) << report;
@@ -301,22 +300,20 @@ TEST(DriftToolTest, BiasedLeaderFailsNamingDetector) {
 // The same synthetic stream without the injected defect passes: the
 // detectors respond to the defect, not to the fixture's shape.
 TEST(DriftToolTest, SynthBaselinePasses) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "drift_synth_clean.jsonl";
+  const std::string path = test_path("synth_clean.jsonl");
   write_file(path, synth_series(false, false));
   EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + path + " --check"), 0);
 }
 
 // 2: usage, missing file, malformed bytes.
 TEST(DriftToolTest, MalformedInputsExitTwo) {
-  const std::string dir = ::testing::TempDir();
   EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN)), 2);
-  EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + dir + "drift_missing.jsonl"), 2);
-  const std::string bad = dir + "drift_malformed.jsonl";
+  EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + test_path("missing.jsonl")), 2);
+  const std::string bad = test_path("malformed.jsonl");
   write_file(bad, "this is not a series\n");
   EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + bad), 2);
   // A stream with a meta line but no windows is unusable for trend analysis.
-  const std::string empty = dir + "drift_empty.jsonl";
+  const std::string empty = test_path("empty.jsonl");
   write_file(empty,
              "{\"type\":\"meta\",\"schema\":\"icc-series/v1\",\"n\":4,\"t\":1,"
              "\"protocol\":\"icc0\",\"seed\":1,\"window_us\":1000000,"

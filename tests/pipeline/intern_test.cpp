@@ -1,6 +1,8 @@
 // Cluster-shared artifact interning (DESIGN.md §7): the InternStore parses
 // each distinct wire payload exactly once and never conflates equivocating
-// payloads, the shared verdict memo stays bounded, and — the core contract —
+// payloads, the shared verdict and beacon memos stay bounded, the beacon
+// memo combines each round once per cluster and never remembers a failed
+// combine, and — the core contract —
 // interning is behaviour-neutral: committed sequences, logical verifier
 // stats and journal bytes (icc-journal/v2 with causal edges) are identical
 // with interning on or off, at 1, 2 and 8 threads, for all three protocols
@@ -11,11 +13,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "crypto/provider.hpp"
 #include "harness/cluster.hpp"
+#include "obs/journal.hpp"
 #include "types/messages.hpp"
 
 namespace icc::pipeline {
@@ -148,6 +154,81 @@ TEST(InternStore, VerdictMemoRemembersPrimesAndStaysBounded) {
   EXPECT_LE(store.cached_verdicts(), small.verdict_capacity);
 }
 
+TEST(InternStore, BeaconMemoStaysBoundedAndNeverRemembersAFailedCombine) {
+  InternStore store;
+  size_t combines = 0;
+  auto value_of = [&](const Bytes& m) {
+    return [&, m] {
+      ++combines;
+      return crypto::sha256(m);
+    };
+  };
+  auto must_not_run = [] {
+    ADD_FAILURE() << "the memo should have answered";
+    return Bytes{};
+  };
+
+  const Bytes m0 = str_bytes("round 0");
+  EXPECT_TRUE(store.beacon(m0, [&] {
+                ++combines;
+                return Bytes{};
+              }).empty());
+  EXPECT_EQ(store.cached_beacons(), 0u);
+  EXPECT_EQ(store.beacon(m0, value_of(m0)), crypto::sha256(m0));  // combines again
+  EXPECT_EQ(store.beacon(m0, must_not_run), crypto::sha256(m0));
+  EXPECT_EQ(combines, 2u);
+  EXPECT_EQ(store.stats().beacon_combines, 2u);
+
+  const uint32_t rounds = 4 * InternStore::kBeaconCapacity;
+  for (uint32_t i = 1; i <= rounds; ++i) {
+    const Bytes m = str_bytes("round " + std::to_string(i));
+    EXPECT_EQ(store.beacon(m, value_of(m)), crypto::sha256(m));
+  }
+  EXPECT_EQ(store.stats().beacon_combines, rounds + 2u);
+  EXPECT_LE(store.cached_beacons(), InternStore::kBeaconCapacity);
+  const Bytes last = str_bytes("round " + std::to_string(rounds));
+  EXPECT_EQ(store.beacon(last, must_not_run), crypto::sha256(last));
+}
+
+TEST(InternStore, VerifierMemoizesOnlyThresholdCombinesAndKeepsLogicalStats) {
+  auto provider = crypto::make_real_provider(4, 1, 9);  // beacon threshold 2
+  const Bytes msg = types::beacon_message(3, Bytes(32, 7));
+  std::vector<std::pair<crypto::PartyIndex, Bytes>> shares;
+  for (crypto::PartyIndex i = 0; i < 2; ++i)
+    shares.emplace_back(i, provider->beacon_sign_share(i, msg));
+  auto tampered = shares[1];
+  tampered.second[80] ^= 1;  // a DLEQ proof byte
+  const std::vector<std::pair<crypto::PartyIndex, Bytes>> short_of_threshold = {shares[0],
+                                                                               tampered};
+
+  InternStore store;
+  Verifier lone(*provider, PipelineOptions{});
+  Verifier first(*provider, PipelineOptions{});
+  Verifier second(*provider, PipelineOptions{});
+  first.attach_intern(&store);
+  second.attach_intern(&store);
+
+  // One valid share and one invalid one: the combine fails and the memo
+  // stays empty.
+  EXPECT_TRUE(first.beacon_combine(msg, short_of_threshold).empty());
+  EXPECT_EQ(store.cached_beacons(), 0u);
+  EXPECT_EQ(store.stats().beacon_combines, 0u);
+
+  const Bytes value = lone.beacon_combine(msg, shares);
+  ASSERT_FALSE(value.empty());
+  EXPECT_EQ(first.beacon_combine(msg, shares), value);
+  EXPECT_EQ(second.beacon_combine(msg, shares), value);  // from the memo
+  EXPECT_EQ(store.stats().beacon_combines, 1u);
+  EXPECT_EQ(store.cached_beacons(), 1u);
+
+  // The memo answers only after the party's own checks: its logical stats
+  // are those of a lone party.
+  const Verifier::Stats a = second.stats(), b = lone.stats();
+  EXPECT_EQ(a.provider_verifications, b.provider_verifications);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.combine_share_checks_skipped, b.combine_share_checks_skipped);
+}
+
 // ---------------------------------------------------------------------------
 // Behaviour neutrality: intern {on,off} × threads {1,2,8} × protocol
 // ---------------------------------------------------------------------------
@@ -156,6 +237,7 @@ struct RunResult {
   std::vector<std::vector<std::pair<harness::Round, types::Hash>>> committed;
   std::string journal;  ///< icc-journal/v2 bytes (causal edges on)
   Verifier::Stats vstats;
+  std::vector<Verifier::Stats> party_vstats;  ///< per honest party
   PipelineStats pstats;
   InternStore::Stats istats;
 };
@@ -167,6 +249,9 @@ struct Leg {
   harness::CryptoKind crypto = harness::CryptoKind::kFast;
   size_t payload_size = 300;
   sim::Duration run = sim::seconds(5);
+  size_t n = 7;
+  size_t t = 2;
+  bool wan = false;  ///< sim::WanDelay instead of 3-18 ms uniform links
 };
 
 // An equivocating leader is part of every run: the store must keep the two
@@ -174,8 +259,8 @@ struct Leg {
 // each, and the verdict memo must serve verdicts for *both* forks' shares.
 RunResult run_cluster(const Leg& leg, bool intern, size_t threads) {
   harness::ClusterOptions o;
-  o.n = 7;
-  o.t = 2;
+  o.n = leg.n;
+  o.t = leg.t;
   // Seed mirrors pipeline_test: avoids a pre-existing seed-dependent Icc2
   // liveness stall that reproduces identically with interning on or off.
   o.seed = 501 + static_cast<uint64_t>(leg.protocol);
@@ -187,8 +272,12 @@ RunResult run_cluster(const Leg& leg, bool intern, size_t threads) {
   o.threads = threads;
   o.obs.enabled = true;
   o.obs.journal = true;  // journal_causal defaults on → v2 with edges
-  o.delay_model = [](size_t, uint64_t) {
-    return std::make_unique<sim::UniformDelay>(sim::msec(3), sim::msec(18));
+  o.delay_model = [wan = leg.wan](size_t n, uint64_t seed) -> std::unique_ptr<sim::DelayModel> {
+    if (!wan) return std::make_unique<sim::UniformDelay>(sim::msec(3), sim::msec(18));
+    sim::WanDelay::Config cfg;
+    cfg.n = n;
+    cfg.seed = seed;
+    return std::make_unique<sim::WanDelay>(cfg);
   };
   consensus::ByzantineBehavior eq;
   eq.equivocate = true;
@@ -205,6 +294,7 @@ RunResult run_cluster(const Leg& leg, bool intern, size_t threads) {
       for (const auto& blk : c.party(i)->committed())
         seq.emplace_back(blk.round, blk.hash);
       EXPECT_GE(seq.size(), 4u) << "party " << i << " barely progressed";
+      r.party_vstats.push_back(c.party(i)->verifier().stats());
     }
     r.committed.push_back(std::move(seq));
   }
@@ -225,6 +315,15 @@ void expect_equal(const RunResult& a, const RunResult& b, const std::string& wha
   EXPECT_EQ(a.vstats.primed, b.vstats.primed) << what;
   EXPECT_EQ(a.vstats.batch_calls, b.vstats.batch_calls) << what;
   EXPECT_EQ(a.vstats.batch_fallbacks, b.vstats.batch_fallbacks) << what;
+  EXPECT_EQ(a.vstats.combine_share_checks_skipped, b.vstats.combine_share_checks_skipped)
+      << what;
+  ASSERT_EQ(a.party_vstats.size(), b.party_vstats.size()) << what;
+  for (size_t i = 0; i < a.party_vstats.size(); ++i) {
+    EXPECT_EQ(a.party_vstats[i].provider_verifications, b.party_vstats[i].provider_verifications)
+        << what << ", honest party #" << i;
+    EXPECT_EQ(a.party_vstats[i].cache_hits, b.party_vstats[i].cache_hits)
+        << what << ", honest party #" << i;
+  }
   EXPECT_EQ(a.pstats.decoded, b.pstats.decoded) << what;
   EXPECT_EQ(a.pstats.duplicates, b.pstats.duplicates) << what;
   EXPECT_EQ(a.pstats.malformed, b.pstats.malformed) << what;
@@ -280,6 +379,29 @@ TEST_P(InternMatrixTest, InternActuallyShares) {
   RunResult off = run_cluster(Leg{GetParam()}, /*intern=*/false, /*threads=*/1);
   EXPECT_EQ(off.istats.parses, 0u);
   EXPECT_EQ(off.istats.real_verifications, 0u);
+}
+
+// The beacon memo at the perfbench WAN shape: ICC1, n = 32, real crypto,
+// one thread, with an equivocating party. Each round's beacon is combined
+// once for the whole cluster, while every party's logical verifier stats and
+// the journal stay those of the run without interning.
+TEST(InternBeaconMemo, Icc1RealCryptoWanCombinesEachRoundOnce) {
+  Leg leg{harness::Protocol::kIcc1, harness::CryptoKind::kReal, 4096, sim::seconds(4)};
+  leg.n = 32;
+  leg.t = 10;
+  leg.wan = true;
+  const RunResult on = run_cluster(leg, /*intern=*/true, /*threads=*/1);
+  const RunResult off = run_cluster(leg, /*intern=*/false, /*threads=*/1);
+  expect_equal(on, off, "intern on vs off");
+
+  // Rounds whose beacon some honest party combined (party 1 equivocates).
+  std::set<uint64_t> rounds;
+  for (const auto& ev : obs::Journal::parse_jsonl(on.journal).events)
+    if (std::string_view(ev.type) == obs::journal_type::kBeacon && ev.party != 1)
+      rounds.insert(ev.round);
+  ASSERT_GE(rounds.size(), 4u);
+  EXPECT_EQ(on.istats.beacon_combines, rounds.size());
+  EXPECT_EQ(off.istats.beacon_combines, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, InternMatrixTest,
