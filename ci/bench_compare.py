@@ -19,8 +19,8 @@ comparison runs on those dimensionless ratios — the *shape* of the profile.
 A kernel that regresses relative to its peers still trips the gate, a
 uniformly slower CI machine does not.
 
-icc-series/v1 JSONL (windowed soak telemetry from examples/icc_soak /
-icc_observe --series): the first line is a meta object with
+icc-series/v1 JSONL (windowed telemetry from examples/icc --series, soak
+runs with --rounds included): the first line is a meta object with
 "schema": "icc-series/v1", followed by one "type":"w" window per line.
 The stream is reduced to throughput aggregates — window count and the
 geometric means of per-window committed blocks and rounds (decimated

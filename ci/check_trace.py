@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check a Chrome trace written by examples/icc_observe.
+"""Check a Chrome trace written by examples/icc (--trace).
 
     python3 ci/check_trace.py <trace.json> <parties>
 

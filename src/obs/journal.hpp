@@ -10,7 +10,7 @@
 //
 // Export is deterministic JSONL (one event per line, fixed key order, no
 // floats): the same seed produces a byte-identical file, which makes the
-// journal diffable across runs and lets `tools/icc_audit` mechanically
+// journal diffable across runs and lets `icc_inspect audit` mechanically
 // re-check the safety invariants offline (see obs/audit.hpp for the
 // invariant-to-lemma mapping).
 //
@@ -162,7 +162,7 @@ class Journal {
   static std::string meta_json(const JournalMeta& meta, uint64_t event_count,
                                uint64_t dropped);
 
-  // --- parsing (tools/icc_audit, tools/icc_critpath, tests) ---
+  // --- parsing (icc_inspect audit and critpath, tests) ---
   /// Parse a whole JSONL document (as produced by to_jsonl, or tampered
   /// variants of it) through support/json: the meta line first, then
   /// events; blank lines are skipped, unknown keys and event types kept.

@@ -31,7 +31,7 @@
 // (profiler absent = null), the same null-probe discipline as obs.hpp.
 //
 // Exports: an `icc-runtime/v1` JSON report (parse_runtime_report /
-// analyze_runtime round-trip it, tools/icc_runtime consumes it offline) and
+// analyze_runtime round-trip it, icc_inspect runtime consumes it offline) and
 // a Chrome trace with one track per lane that trace_json() places
 // side-by-side with the virtual-time events rendered from the journal in
 // one trace container.
@@ -80,7 +80,7 @@ constexpr size_t kLockSites = static_cast<size_t>(LockSite::kCount);
 const char* lock_site_name(LockSite site);
 
 // ---------------------------------------------------------------------------
-// Report structures (what the JSON serializes; tools/icc_runtime's model)
+// Report structures (what the JSON serializes; icc_inspect runtime's model)
 // ---------------------------------------------------------------------------
 
 struct LockStat {
@@ -128,7 +128,7 @@ struct RuntimeReport {
   std::vector<WorkerReport> workers;
 };
 
-/// Derived parallel-efficiency numbers (the analysis tools/icc_runtime
+/// Derived parallel-efficiency numbers (the analysis icc_inspect runtime
 /// prints; shared here so benches can print the same summary in-process).
 struct RuntimeAnalysis {
   /// Basis for busy time: per-thread CPU when the platform provides it
@@ -305,7 +305,7 @@ class SampledLock {
   std::mutex& mu_;
 };
 
-/// fprintf the analysis the way tools/icc_runtime does, as one block under
+/// fprintf the analysis the way icc_inspect runtime does, as one block under
 /// the line-atomic log sink mutex so pool-worker ICC_LOG lines cannot
 /// interleave mid-summary (support/log.hpp).
 void print_runtime_summary(std::FILE* out, const RuntimeReport& report,

@@ -48,7 +48,7 @@
 namespace icc::obs {
 
 /// Run-identifying header, written as the first icc-series/v1 line. The
-/// corrupt slot list lets offline analyzers (tools/icc_drift) restrict the
+/// corrupt slot list lets offline analyzers (icc_inspect drift) restrict the
 /// leader-uniformity test to honest parties.
 struct SeriesMeta {
   uint32_t n = 0;
@@ -147,7 +147,7 @@ class TimeSeries {
 
   uint64_t windows_closed() const { return next_seq_; }
   /// Stream-sink lines that failed to write (I/O); exports are never
-  /// silently partial — icc_observe warns loudly when nonzero.
+  /// silently partial — the icc driver warns loudly when nonzero.
   uint64_t dropped() const { return dropped_; }
 
   /// Decimated in-memory windows, oldest → newest.
@@ -161,7 +161,7 @@ class TimeSeries {
   std::string to_jsonl() const;
   bool write_jsonl(const std::string& path) const;
 
-  // --- parsing (tools/icc_drift, tests), through support/json ---
+  // --- parsing (icc_inspect drift, tests), through support/json ---
   /// The meta line comes first; unknown record types and keys are skipped.
   /// Parsing stops at the first line that is not valid JSON or has a known
   /// field of the wrong type, and `error` names that line.

@@ -1,9 +1,9 @@
-// End-to-end tests for the offline operator tools (tools/icc_audit,
-// tools/icc_critpath) invoked as real subprocesses: the CSV time series has
-// the documented columns and one row per finalized round, and the exit-code
-// contract CI leans on (0 clean, 1 named violation / failed hop check, 2
-// usage, I/O error or a malformed journal) is pinned. Binary paths are injected by CMake via
-// ICC_AUDIT_BIN / ICC_CRITPATH_BIN.
+// End-to-end tests for the offline inspector's journal subcommands
+// (`icc_inspect audit`, `icc_inspect critpath`) invoked as real
+// subprocesses: the CSV time series has the documented columns and one row
+// per finalized round, and the exit-code contract CI leans on (0 clean, 1
+// named violation / failed hop check, 2 usage, I/O error or a malformed
+// journal) is pinned. CMake injects the binary path as ICC_INSPECT_BIN.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -23,6 +23,9 @@ namespace icc {
 namespace {
 
 using testing_paths::test_path;
+
+const std::string kAudit = std::string(ICC_INSPECT_BIN) + " audit";
+const std::string kCritpath = std::string(ICC_INSPECT_BIN) + " critpath";
 
 std::string write_honest_journal(const std::string& path) {
   harness::ClusterOptions o;
@@ -111,7 +114,7 @@ class ToolTest : public ::testing::Test {
 TEST_F(ToolTest, AuditCsvHasDocumentedColumnsAndOneRowPerFinalizedRound) {
   std::string report_path = test_path("report.json");
   std::string csv_path = test_path("rounds.csv");
-  ASSERT_EQ(run_tool(std::string(ICC_AUDIT_BIN) + " " + journal_ + " --report " +
+  ASSERT_EQ(run_tool(kAudit + " " + journal_ + " --report " +
                      report_path + " --csv " + csv_path + " --quiet"),
             0);
 
@@ -157,20 +160,20 @@ TEST_F(ToolTest, AuditExitCodeContract) {
       << "{\"seq\":999999,\"type\":\"finalized\",\"ts\":999999,\"party\":0,"
          "\"round\":"
       << round << ",\"hash\":\"" << std::string(64, 'f') << "\"}\n";
-  EXPECT_EQ(run_tool(std::string(ICC_AUDIT_BIN) + " " + tampered), 1);
+  EXPECT_EQ(run_tool(kAudit + " " + tampered), 1);
 
   // 2: usage and I/O errors.
-  EXPECT_EQ(run_tool(std::string(ICC_AUDIT_BIN)), 2);
-  EXPECT_EQ(run_tool(std::string(ICC_AUDIT_BIN) + " " + test_path("missing.jsonl")), 2);
-  EXPECT_EQ(run_tool(std::string(ICC_AUDIT_BIN) + " " + journal_ + " --bogus"), 2);
-  expect_malformed_inputs_exit_two(ICC_AUDIT_BIN);
+  EXPECT_EQ(run_tool(kAudit), 2);
+  EXPECT_EQ(run_tool(kAudit + " " + test_path("missing.jsonl")), 2);
+  EXPECT_EQ(run_tool(kAudit + " " + journal_ + " --bogus"), 2);
+  expect_malformed_inputs_exit_two(kAudit);
 }
 
 TEST_F(ToolTest, CritpathExitCodeContract) {
   // 0: honest journal passes the derived hop check and writes its artifacts.
   std::string report_path = test_path("critpath.json");
   std::string dot_path = test_path("round.dot");
-  ASSERT_EQ(run_tool(std::string(ICC_CRITPATH_BIN) + " " + journal_ +
+  ASSERT_EQ(run_tool(kCritpath + " " + journal_ +
                      " --check-hops --report " + report_path + " --dot " + dot_path +
                      " --quiet"),
             0);
@@ -179,7 +182,7 @@ TEST_F(ToolTest, CritpathExitCodeContract) {
   EXPECT_NE(slurp(dot_path).find("digraph"), std::string::npos);
 
   // 1: wrong expected hop count fails the structural check.
-  EXPECT_EQ(run_tool(std::string(ICC_CRITPATH_BIN) + " " + journal_ +
+  EXPECT_EQ(run_tool(kCritpath + " " + journal_ +
                      " --check-hops 4 --quiet"),
             1);
 
@@ -192,12 +195,18 @@ TEST_F(ToolTest, CritpathExitCodeContract) {
   size_t eol = jsonl_.find('\n', at);
   std::ofstream(tampered, std::ios::binary | std::ios::trunc)
       << jsonl_.substr(0, bol) << jsonl_.substr(eol + 1);
-  EXPECT_EQ(run_tool(std::string(ICC_CRITPATH_BIN) + " " + tampered + " --quiet"), 1);
+  EXPECT_EQ(run_tool(kCritpath + " " + tampered + " --quiet"), 1);
 
   // 2: usage and I/O errors.
-  EXPECT_EQ(run_tool(std::string(ICC_CRITPATH_BIN)), 2);
-  EXPECT_EQ(run_tool(std::string(ICC_CRITPATH_BIN) + " " + test_path("missing.jsonl")), 2);
-  expect_malformed_inputs_exit_two(ICC_CRITPATH_BIN);
+  EXPECT_EQ(run_tool(kCritpath), 2);
+  EXPECT_EQ(run_tool(kCritpath + " " + test_path("missing.jsonl")), 2);
+  expect_malformed_inputs_exit_two(kCritpath);
+}
+
+TEST_F(ToolTest, UnknownSubcommandExitsTwo) {
+  // A valid journal, so only the subcommand can be at fault.
+  EXPECT_EQ(run_tool(std::string(ICC_INSPECT_BIN) + " bogus " + journal_), 2);
+  EXPECT_EQ(run_tool(std::string(ICC_INSPECT_BIN)), 2);
 }
 
 }  // namespace

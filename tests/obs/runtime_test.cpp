@@ -8,7 +8,7 @@
 //  2. Its own artifacts are well-formed under stress: an overflowing span
 //     ring reports `spans_dropped` instead of corrupting, the icc-runtime/v1
 //     document round-trips through parse_runtime_report, and the offline
-//     tool (tools/icc_runtime, path injected via ICC_RUNTIME_BIN) pins the
+//     tool (`icc_inspect runtime`, path injected via ICC_INSPECT_BIN) pins the
 //     CI exit-code contract: 0 clean, 1 failed --check, 2 usage/I-O/parse.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -26,6 +26,8 @@
 namespace icc {
 namespace {
 using testing_paths::test_path;
+
+const std::string kRuntime = std::string(ICC_INSPECT_BIN) + " runtime";
 
 struct DeterministicBytes {
   std::string journal;
@@ -244,17 +246,17 @@ TEST(RuntimeToolTest, ExitCodeContract) {
   ASSERT_TRUE(c.dump_runtime_report(good_path));
 
   // 0: well-formed report, --check passes (serial fraction in (0, 1]).
-  EXPECT_EQ(run_tool(std::string(ICC_RUNTIME_BIN) + " " + good_path), 0);
-  EXPECT_EQ(run_tool(std::string(ICC_RUNTIME_BIN) + " " + good_path + " --check"), 0);
+  EXPECT_EQ(run_tool(kRuntime + " " + good_path), 0);
+  EXPECT_EQ(run_tool(kRuntime + " " + good_path + " --check"), 0);
 
   // 2: usage, missing file, malformed bytes.
-  EXPECT_EQ(run_tool(std::string(ICC_RUNTIME_BIN)), 2);
-  EXPECT_EQ(run_tool(std::string(ICC_RUNTIME_BIN) + " " + test_path("missing.json")), 2);
+  EXPECT_EQ(run_tool(kRuntime), 2);
+  EXPECT_EQ(run_tool(kRuntime + " " + test_path("missing.json")), 2);
   const std::string bad_path = test_path("malformed.json");
   std::ofstream(bad_path, std::ios::binary | std::ios::trunc)
       << "{\"schema\":\"icc-runtime/v1\",\"threads\":2,";
-  EXPECT_EQ(run_tool(std::string(ICC_RUNTIME_BIN) + " " + bad_path), 2);
-  EXPECT_EQ(run_tool(std::string(ICC_RUNTIME_BIN) + " " + good_path + " --bogus"), 2);
+  EXPECT_EQ(run_tool(kRuntime + " " + bad_path), 2);
+  EXPECT_EQ(run_tool(kRuntime + " " + good_path + " --bogus"), 2);
 }
 
 }  // namespace

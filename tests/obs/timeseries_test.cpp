@@ -1,11 +1,11 @@
-// Windowed time-series recorder (obs/timeseries.hpp) and the icc_drift
-// offline analyzer.
+// Windowed time-series recorder (obs/timeseries.hpp) and the offline drift
+// analyzer (`icc_inspect drift`).
 //
 // The load-bearing contract: the deterministic series lines (meta + windows)
 // are BYTE-IDENTICAL for a given seed at any thread count and the recorder
 // never perturbs the run — journal and metrics bytes are unchanged whether
-// the series is on or off. The icc_drift tool (path injected via
-// ICC_DRIFT_BIN) pins the exit-code contract: 0 clean, 1 when --check trips
+// the series is on or off. The drift analyzer (path injected via
+// ICC_INSPECT_BIN) pins the exit-code contract: 0 clean, 1 when --check trips
 // a detector (named in the report), 2 on usage/IO/malformed input.
 #include <cstdio>
 #include <fstream>
@@ -212,7 +212,9 @@ TEST(TimeSeriesTest, CounterNameWithJsonSyntaxRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// icc_drift exit-code contract, as a real subprocess.
+// `icc_inspect drift` exit-code contract, as a real subprocess.
+
+const std::string kDrift = std::string(ICC_INSPECT_BIN) + " drift";
 
 int run_tool(const std::string& cmd) {
   int status = std::system((cmd + " >/dev/null 2>&1").c_str());
@@ -271,7 +273,7 @@ TEST(DriftToolTest, CleanRunPasses) {
   ASSERT_TRUE(c.stream_series(path));
   c.run_for(sim::seconds(60));
   c.series()->flush();
-  EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + path + " --check"), 0);
+  EXPECT_EQ(run_tool(kDrift + " " + path + " --check"), 0);
 }
 
 // 1: an RSS ramp trips --check, and the report names the rss detector.
@@ -279,8 +281,8 @@ TEST(DriftToolTest, RssRampFailsNamingDetector) {
   const std::string path = test_path("rss_ramp.jsonl");
   write_file(path, synth_series(true, false));
   const std::string report = run_tool_stdout(
-      std::string(ICC_DRIFT_BIN) + " " + path + " --check --quiet", test_path("rss.out"));
-  EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + path + " --check"), 1);
+      kDrift + " " + path + " --check --quiet", test_path("rss.out"));
+  EXPECT_EQ(run_tool(kDrift + " " + path + " --check"), 1);
   EXPECT_NE(report.find("\"failed\":[\"rss\"]"), std::string::npos) << report;
 }
 
@@ -290,9 +292,9 @@ TEST(DriftToolTest, BiasedLeaderFailsNamingDetector) {
   const std::string path = test_path("biased.jsonl");
   write_file(path, synth_series(false, true));
   const std::string report = run_tool_stdout(
-      std::string(ICC_DRIFT_BIN) + " " + path + " --check --quiet",
+      kDrift + " " + path + " --check --quiet",
       test_path("biased.out"));
-  EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + path + " --check"), 1);
+  EXPECT_EQ(run_tool(kDrift + " " + path + " --check"), 1);
   EXPECT_NE(report.find("\"leaders\""), std::string::npos) << report;
   EXPECT_NE(report.find("\"failed\":[\"leaders\"]"), std::string::npos) << report;
 }
@@ -302,24 +304,24 @@ TEST(DriftToolTest, BiasedLeaderFailsNamingDetector) {
 TEST(DriftToolTest, SynthBaselinePasses) {
   const std::string path = test_path("synth_clean.jsonl");
   write_file(path, synth_series(false, false));
-  EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + path + " --check"), 0);
+  EXPECT_EQ(run_tool(kDrift + " " + path + " --check"), 0);
 }
 
 // 2: usage, missing file, malformed bytes.
 TEST(DriftToolTest, MalformedInputsExitTwo) {
-  EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN)), 2);
-  EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + test_path("missing.jsonl")), 2);
+  EXPECT_EQ(run_tool(kDrift), 2);
+  EXPECT_EQ(run_tool(kDrift + " " + test_path("missing.jsonl")), 2);
   const std::string bad = test_path("malformed.jsonl");
   write_file(bad, "this is not a series\n");
-  EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + bad), 2);
+  EXPECT_EQ(run_tool(kDrift + " " + bad), 2);
   // A stream with a meta line but no windows is unusable for trend analysis.
   const std::string empty = test_path("empty.jsonl");
   write_file(empty,
              "{\"type\":\"meta\",\"schema\":\"icc-series/v1\",\"n\":4,\"t\":1,"
              "\"protocol\":\"icc0\",\"seed\":1,\"window_us\":1000000,"
              "\"full_res\":512,\"wall\":0,\"corrupt\":[]}\n");
-  EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + empty), 2);
-  EXPECT_EQ(run_tool(std::string(ICC_DRIFT_BIN) + " " + empty + " --bogus"), 2);
+  EXPECT_EQ(run_tool(kDrift + " " + empty), 2);
+  EXPECT_EQ(run_tool(kDrift + " " + empty + " --bogus"), 2);
 }
 
 }  // namespace
