@@ -19,7 +19,7 @@
 // leader and a crashed party and exits non-zero unless the intern-on run
 // commits the exact (round, hash) sequence of the intern-off run.
 // `--runtime` attaches the wall-clock runtime profiler (obs.runtime) to
-// every leg and prints a per-leg utilization / parse / verify line next to
+// every leg and prints a per-leg utilization / parse / RSS line next to
 // blk/s — NON-deterministic, informational only, never part of the JSON.
 #include <cstdio>
 #include <cstdlib>
@@ -84,27 +84,21 @@ Leg run_leg(size_t n, bool intern, sim::Duration sim_time) {
   if (g_runtime) {
     const obs::RuntimeReport rep = c.runtime_report();
     const obs::RuntimeAnalysis a = obs::analyze_runtime(rep);
-    int64_t parse_ns = 0, verify_ns = 0;
-    uint64_t parse_spans = 0, verify_spans = 0;
+    int64_t parse_ns = 0;
+    uint64_t parse_spans = 0;
     for (const auto& w : rep.workers) {
       const auto& p = w.tasks[static_cast<size_t>(obs::TaskKind::kInternParse)];
-      const auto& v = w.tasks[static_cast<size_t>(obs::TaskKind::kVerifySlice)];
       parse_ns += p.exclusive_ns;
       parse_spans += p.count;
-      verify_ns += v.exclusive_ns;
-      verify_spans += v.count;
     }
     char buf[224];
     std::snprintf(buf, sizeof buf,
                   "       `- runtime (intern %-3s): util %5.1f %% (%s basis) | "
-                  "parse %8.1f ms / %6llu spans | verify %8.1f ms / %6llu spans "
-                  "| rss %lld kB",
+                  "parse %8.1f ms / %6llu spans | rss %lld kB",
                   intern ? "on" : "off", a.utilization * 100.0,
                   a.cpu_basis ? "cpu" : "wall",
                   static_cast<double>(parse_ns) / 1e6,
                   static_cast<unsigned long long>(parse_spans),
-                  static_cast<double>(verify_ns) / 1e6,
-                  static_cast<unsigned long long>(verify_spans),
                   static_cast<long long>(rep.rss_kb));
     l.runtime_line = buf;
   }

@@ -425,12 +425,12 @@ std::vector<Row> table() {
   }
 
   // F-PIPE: real Ed25519/DVRF verifications per committed block with the
-  // ingress pipeline's dedup, verdict cache and batch stages off, then on.
+  // ingress pipeline's dedup and verdict cache stages off, then on.
   for (bool on : {false, true}) {
     harness::ClusterOptions o = icc(16, 42, sim::msec(300));
     o.crypto = harness::CryptoKind::kReal;
     o.payload_size = 512;
-    o.pipeline.dedup = o.pipeline.cache = o.pipeline.batch = on;
+    o.pipeline.stages = on;
     add("F-PIPE", on ? "stages_on" : "stages_off", sim::seconds(2),
         IccRun{o, [](harness::Cluster& c) {
           const pipeline::Verifier::Stats v = c.verifier_stats();
@@ -441,7 +441,6 @@ std::vector<Row> table() {
                         {"cache_hits", v.cache_hits, "count"},
                         {"primed", v.primed, "count"},
                         {"combine_checks_skipped", v.combine_share_checks_skipped, "count"},
-                        {"batch_calls", v.batch_calls, "count"},
                         {"duplicates", c.pipeline_stats().duplicates, "count"}};
         }});
   }

@@ -10,7 +10,7 @@
 #   SANITIZER=tsan            Debug build with ThreadSanitizer over the
 #                             concurrency-bearing suites (support executor /
 #                             defer queue, parallel sim engine, pipeline
-#                             verifier slicing, shared intern store, obs
+#                             verdict cache, shared intern store, obs
 #                             journal + metrics), run
 #                             with ICC_THREADS=8 so every guarded test
 #                             actually exercises the worker pool. TSan and

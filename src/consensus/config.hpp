@@ -8,7 +8,6 @@
 #include "obs/obs.hpp"
 #include "pipeline/verifier.hpp"
 #include "sim/time.hpp"
-#include "support/executor.hpp"
 #include "types/block.hpp"
 
 namespace icc::pipeline {
@@ -75,18 +74,14 @@ struct DelayFunctions {
 
 struct PartyConfig {
   crypto::CryptoProvider* crypto = nullptr;
-  /// Staged ingress pipeline knobs (decode → dedup → verify → apply). The
-  /// defaults enable dedup, memoization and batch verification; disable them
-  /// individually to reproduce the pre-pipeline verify-on-insert behaviour.
+  /// Staged ingress pipeline switch (decode → dedup → verify → apply). On by
+  /// default; off reproduces the pre-pipeline verify-on-insert behaviour.
   pipeline::PipelineOptions pipeline;
   DelayFunctions delays;
   std::shared_ptr<PayloadBuilder> payload;
   /// Telemetry sink (metrics registry + event journal). Null disables every
   /// probe — the party then pays one pointer check per probe site.
   obs::Obs* obs = nullptr;
-  /// Worker pool shared by the run (DESIGN.md §6). When set (and >1 thread)
-  /// the party's Verifier slices batch verifications across it. Not owned.
-  support::Executor* executor = nullptr;
   /// Cluster-shared artifact intern store (DESIGN.md §7): shared decode
   /// cache + cross-party verification memo. Null = per-party fidelity mode
   /// (every receiver parses and verifies independently). Not owned.

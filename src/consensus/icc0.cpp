@@ -33,15 +33,9 @@ Icc0Party::Icc0Party(PartyIndex self, const PartyConfig& config)
   probe_.attach(config.obs, config.party_honesty);
   journal_.attach(config.obs, self);
   pipeline_.attach_obs(config.obs);
-  verifier_.attach_obs(config.obs);
-  verifier_.attach_executor(config.executor);
   verifier_.attach_runtime(config.obs != nullptr ? config.obs->runtime() : nullptr);
-  // The shared verdict memo keys off the per-party cache keys; without the
-  // cache stage it would never be consulted on the share paths, so the
-  // store is only wired through the Verifier when the cache is on. The
-  // decode side has no such dependency.
   pipeline_.attach_intern(config.intern);
-  if (config.pipeline.cache) verifier_.attach_intern(config.intern);
+  verifier_.attach_intern(config.intern);
 }
 
 void Icc0Party::start(sim::Context& ctx) {

@@ -11,16 +11,6 @@
 
 namespace icc::crypto {
 
-std::vector<uint8_t> CryptoProvider::threshold_verify_share_batch(
-    Scheme scheme, BytesView message,
-    std::span<const std::pair<PartyIndex, Bytes>> shares) const {
-  std::vector<uint8_t> out(shares.size(), 0);
-  for (size_t i = 0; i < shares.size(); ++i) {
-    out[i] = threshold_verify_share(scheme, shares[i].first, message, shares[i].second) ? 1 : 0;
-  }
-  return out;
-}
-
 Bytes CryptoProvider::threshold_combine_preverified(
     Scheme scheme, BytesView message,
     std::span<const std::pair<PartyIndex, Bytes>> shares) {
@@ -82,35 +72,6 @@ class RealCryptoProvider final : public CryptoProvider {
   bool threshold_verify_share(Scheme scheme, PartyIndex signer, BytesView message,
                               BytesView share) const override {
     return verify(signer, tagged(scheme, message), share);
-  }
-
-  std::vector<uint8_t> threshold_verify_share_batch(
-      Scheme scheme, BytesView message,
-      std::span<const std::pair<PartyIndex, Bytes>> shares) const override {
-    std::vector<uint8_t> out(shares.size(), 0);
-    Bytes msg = tagged(scheme, message);
-    std::vector<Ed25519BatchItem> items;
-    std::vector<size_t> item_index;  // batch slot -> shares slot
-    items.reserve(shares.size());
-    for (size_t i = 0; i < shares.size(); ++i) {
-      const auto& [signer, data] = shares[i];
-      if (signer >= n_ || data.size() != 64) continue;  // stays 0
-      items.push_back({BytesView(public_keys_[signer].data(), 32), BytesView(msg),
-                       BytesView(data)});
-      item_index.push_back(i);
-    }
-    if (ed25519_verify_batch(items)) {
-      for (size_t i : item_index) out[i] = 1;
-    } else {
-      // At least one bad share: fall back per item to identify it.
-      for (size_t j = 0; j < items.size(); ++j) {
-        out[item_index[j]] = ed25519_verify(items[j].public_key, items[j].message,
-                                            items[j].signature)
-                                 ? 1
-                                 : 0;
-      }
-    }
-    return out;
   }
 
   Bytes threshold_combine(Scheme scheme, BytesView message,

@@ -66,15 +66,6 @@ class CryptoProvider {
                                      BytesView message) = 0;
   virtual bool threshold_verify_share(Scheme scheme, PartyIndex signer, BytesView message,
                                       BytesView share) const = 0;
-  /// Batch-verify k shares over the SAME message in one call. out[i] is the
-  /// verdict for shares[i]. Providers with a homomorphic check (Ed25519
-  /// random-linear-combination) try one combined equation first and fall
-  /// back to per-item verification only when it fails; the default is a
-  /// per-item loop.
-  virtual std::vector<uint8_t> threshold_verify_share_batch(
-      Scheme scheme, BytesView message,
-      std::span<const std::pair<PartyIndex, Bytes>> shares) const;
-
   /// Combine shares (signer, share-bytes) into an aggregate signature.
   /// Returns empty on failure (fewer than quorum() distinct valid signers).
   virtual Bytes threshold_combine(Scheme scheme, BytesView message,

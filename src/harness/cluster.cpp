@@ -27,7 +27,7 @@ Cluster::Cluster(const ClusterOptions& options) : options_(options) {
                    : std::make_unique<sim::FixedDelay>(sim::msec(10));
   sim_ = std::make_unique<sim::Simulation>(options.n, std::move(model), options.seed);
 
-  // Worker pool for party-parallel stepping and sliced batch verification.
+  // Worker pool for party-parallel stepping.
   // A 1-thread run keeps the classic sequential engine path (no pool at all)
   // — results are bit-identical either way (DESIGN.md §6).
   size_t threads =
@@ -95,7 +95,6 @@ Cluster::Cluster(const ClusterOptions& options) : options_(options) {
   pc.lag_threshold = options.lag_threshold;
   pc.adaptive = options.adaptive;
   pc.pipeline = options.pipeline;
-  pc.executor = executor_.get();
   // Both callbacks mutate harness-shared state (pending_latency_, latencies_)
   // and so are deferred to the canonical replay point when fired from inside
   // a parallel engine batch (support/defer.hpp).
@@ -334,8 +333,6 @@ std::string Cluster::metrics_json() {
       .set(static_cast<int64_t>(vs.provider_verifications));
   r.gauge("verify.cache_hits").set(static_cast<int64_t>(vs.cache_hits));
   r.gauge("verify.primed").set(static_cast<int64_t>(vs.primed));
-  r.gauge("verify.batch_calls").set(static_cast<int64_t>(vs.batch_calls));
-  r.gauge("verify.batch_fallbacks").set(static_cast<int64_t>(vs.batch_fallbacks));
   r.gauge("verify.combine_share_checks_skipped")
       .set(static_cast<int64_t>(vs.combine_share_checks_skipped));
 

@@ -53,9 +53,9 @@ struct ClusterOptions {
   Round committed_history = 0;
   Round max_round = 0;
   Round prune_lag = 16;
-  /// Worker threads for the run (engine party-parallel stepping + verifier
-  /// batch slicing). 0 reads ICC_THREADS (default 1); 1 = fully sequential,
-  /// no pool. Any value yields bit-identical results (DESIGN.md §6).
+  /// Worker threads for the run's party-parallel engine stepping. 0 reads
+  /// ICC_THREADS (default 1); 1 = fully sequential, no pool. Any value
+  /// yields bit-identical results (DESIGN.md §6).
   size_t threads = 0;
   Round cup_interval = 0;   ///< catch-up packages; 0 disables
   Round lag_threshold = 8;  ///< rounds behind before a party requests a CUP
@@ -67,8 +67,8 @@ struct ClusterOptions {
   /// Gossip sub-layer tuning (ICC1 only).
   gossip::GossipConfig gossip;
 
-  /// Ingress pipeline tuning (dedup / verification cache / batch verify).
-  /// Defaults enable all stages; tests and benches flip them off to measure.
+  /// Ingress pipeline switch (dedup + verification cache). On by default;
+  /// tests and benches turn it off to measure.
   pipeline::PipelineOptions pipeline;
 
   /// Cluster-shared artifact interning (DESIGN.md §7): honest parties share

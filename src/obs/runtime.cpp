@@ -26,8 +26,7 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 std::atomic<uint64_t> g_next_generation{1};
 
 const char* const kTaskNames[kTaskKinds] = {
-    "engine_batch", "parallel_region", "party_group",
-    "defer_replay", "verify_slice",    "intern_parse",
+    "engine_batch", "parallel_region", "party_group", "defer_replay", "intern_parse",
 };
 const char* const kLockNames[kLockSites] = {
     "executor_queue",
@@ -140,16 +139,25 @@ RuntimeProfiler::Lane& RuntimeProfiler::lane() {
   return *tls.lane;
 }
 
-void RuntimeProfiler::record_span(TaskKind kind, int64_t t0_ns, int64_t t1_ns,
-                                  uint64_t arg0, uint64_t arg1) {
+void RuntimeProfiler::span_begin() { lane().open_child_ns.push_back(0); }
+
+void RuntimeProfiler::span_end(TaskKind kind, int64_t t0_ns, int64_t t1_ns, uint64_t arg0,
+                               uint64_t arg1) {
   Lane& l = lane();
-  if (l.spans.empty()) return;
-  Span& s = l.spans[l.spans_recorded % l.spans.size()];
-  s.t0_ns = t0_ns;
-  s.t1_ns = t1_ns;
-  s.arg0 = arg0;
-  s.arg1 = arg1;
-  s.kind = kind;
+  // Spans on one lane nest (RAII scopes), so the top of the stack is this
+  // span and the entry below it is its direct parent.
+  const int64_t dur = std::max<int64_t>(0, t1_ns - t0_ns);
+  const int64_t child_ns = l.open_child_ns.back();
+  l.open_child_ns.pop_back();
+  if (!l.open_child_ns.empty()) l.open_child_ns.back() += dur;
+  TaskAgg& agg = l.tasks[static_cast<size_t>(kind)];
+  agg.count++;
+  agg.total_ns += dur;
+  agg.exclusive_ns += dur - child_ns;
+  agg.max_ns = std::max(agg.max_ns, dur);
+
+  if (!l.spans.empty())
+    l.spans[l.spans_recorded % l.spans.size()] = {t0_ns, t1_ns, arg0, arg1, kind};
   l.spans_recorded++;
 }
 
@@ -220,43 +228,9 @@ RuntimeReport RuntimeProfiler::make_report() const {
     w.claimed = l.claimed;
     w.stolen = l.stolen;
     w.spans_recorded = l.spans_recorded;
-    w.spans_dropped =
-        l.spans.empty() || l.spans_recorded <= l.spans.size() ? 0
-                                                              : l.spans_recorded - l.spans.size();
+    w.spans_dropped = l.spans_recorded - std::min<uint64_t>(l.spans_recorded, l.spans.size());
+    w.tasks = l.tasks;
     w.locks = l.locks;
-
-    // Per-kind aggregation with exclusive time: spans on one lane are
-    // properly nested (RAII scopes), so each span's direct parent is the
-    // innermost enclosing one — subtract children from it. A ring that
-    // overwrote (spans_dropped > 0) can present orphaned children; the
-    // clamp below keeps exclusive totals sane rather than negative.
-    const size_t live = std::min<uint64_t>(l.spans_recorded, l.spans.size());
-    std::vector<const Span*> spans;
-    spans.reserve(live);
-    for (size_t k = 0; k < live; ++k) spans.push_back(&l.spans[k]);
-    std::sort(spans.begin(), spans.end(), [](const Span* a, const Span* b) {
-      if (a->t0_ns != b->t0_ns) return a->t0_ns < b->t0_ns;
-      return a->t1_ns > b->t1_ns;
-    });
-    std::vector<std::pair<const Span*, int64_t>> stack;  // (span, child time)
-    auto close_top = [&] {
-      auto [sp, child_ns] = stack.back();
-      stack.pop_back();
-      const int64_t dur = sp->t1_ns - sp->t0_ns;
-      TaskAgg& agg = w.tasks[static_cast<size_t>(sp->kind)];
-      agg.exclusive_ns += std::max<int64_t>(0, dur - child_ns);
-    };
-    for (const Span* sp : spans) {
-      const int64_t dur = std::max<int64_t>(0, sp->t1_ns - sp->t0_ns);
-      TaskAgg& agg = w.tasks[static_cast<size_t>(sp->kind)];
-      agg.count++;
-      agg.total_ns += dur;
-      if (dur > agg.max_ns) agg.max_ns = dur;
-      while (!stack.empty() && stack.back().first->t1_ns <= sp->t0_ns) close_top();
-      if (!stack.empty()) stack.back().second += dur;
-      stack.emplace_back(sp, 0);
-    }
-    while (!stack.empty()) close_top();
 
     rep.workers.push_back(std::move(w));
   }

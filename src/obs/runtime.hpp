@@ -13,10 +13,15 @@
 //
 // Recording model:
 //   * Per-thread *lanes*, registered lazily through a thread_local cache the
-//     first time a thread touches the profiler. Each lane owns a
-//     fixed-capacity span ring (kind, start, end, two numeric args) — an
-//     overflowing ring overwrites its oldest spans and counts them in
-//     `spans_dropped`, it never corrupts or reallocates.
+//     first time a thread touches the profiler. Spans are RAII scopes
+//     (SpanScope), so on one lane they nest properly: each lane keeps a
+//     stack of its open spans and adds a span's count, inclusive and
+//     exclusive time and max to its kind's totals the moment it closes.
+//     The totals therefore cover the whole run. Each lane also owns a
+//     fixed-capacity span ring (kind, start, end, two numeric args) that
+//     feeds only the Chrome trace — an overflowing ring overwrites its
+//     oldest spans and counts them in `spans_dropped`, it never corrupts or
+//     reallocates.
 //   * Lock-wait sampling is try_lock-first (SampledLock): an uncontended
 //     acquisition costs the try_lock plus one counter bump and reads no
 //     clock; only the contended path pays two steady_clock reads to time
@@ -51,14 +56,13 @@
 
 namespace icc::obs {
 
-/// Span kinds recorded by the instrumented subsystems. Order is the wire
-/// order of the report's per-kind arrays — append only.
+/// Span kinds recorded by the instrumented subsystems. The report names
+/// each kind, so the order is in-process only.
 enum class TaskKind : uint8_t {
   kEngineBatch = 0,  ///< coordinating thread: one run_batch (arg0 = batch id, arg1 = events)
   kParallelRegion,   ///< coordinating thread: inside executor->parallel_for (arg0 = groups)
   kPartyGroup,       ///< worker: one owner group's events (arg0 = owner, arg1 = events)
   kDeferReplay,      ///< coordinating thread: deferred side-effect replay (arg0 = closures)
-  kVerifySlice,      ///< worker: one batch-verification slice (arg0 = shares)
   kInternParse,      ///< worker: parse of a new interned payload (arg0 = bytes)
   kCount
 };
@@ -105,7 +109,7 @@ struct WorkerReport {
   uint64_t claimed = 0;       ///< slices run from batches this thread published
   uint64_t stolen = 0;        ///< slices run from batches another thread published
   uint64_t spans_recorded = 0;
-  uint64_t spans_dropped = 0;  ///< ring overwrites (report is then partial)
+  uint64_t spans_dropped = 0;  ///< ring overwrites (the trace is then partial)
   std::array<TaskAgg, kTaskKinds> tasks{};
   std::array<LockStat, kLockSites> locks{};
 };
@@ -162,8 +166,8 @@ std::optional<RuntimeReport> parse_runtime_report(const std::string& json,
 
 class RuntimeProfiler final : public support::TaskProbe {
  public:
-  /// `span_capacity` = ring slots per lane (0 keeps lanes but records no
-  /// spans — lock/executor accounting still works).
+  /// `span_capacity` = trace ring slots per lane (0 keeps lanes and
+  /// per-kind totals but traces no spans).
   explicit RuntimeProfiler(size_t span_capacity);
   ~RuntimeProfiler() override;
 
@@ -176,9 +180,9 @@ class RuntimeProfiler final : public support::TaskProbe {
 
   static int64_t now_ns();
 
-  // --- spans (called by engine / verifier / intern; null-checked by SpanScope) ---
-  void record_span(TaskKind kind, int64_t t0_ns, int64_t t1_ns, uint64_t arg0,
-                   uint64_t arg1);
+  // --- spans (called by SpanScope, which null-checks; same thread, nested) ---
+  void span_begin();
+  void span_end(TaskKind kind, int64_t t0_ns, int64_t t1_ns, uint64_t arg0, uint64_t arg1);
 
   // --- lock sampling (called by SampledLock) ---
   void lock_sample(LockSite site, int64_t wait_ns);
@@ -231,8 +235,10 @@ class RuntimeProfiler final : public support::TaskProbe {
     std::atomic<int64_t> wait_since_ns{0};  ///< open idle window start (0 = none)
     uint64_t claimed = 0;
     uint64_t stolen = 0;
-    std::vector<Span> spans;  ///< ring; sized on registration
+    std::vector<Span> spans;  ///< trace ring; sized on registration
     uint64_t spans_recorded = 0;
+    std::vector<int64_t> open_child_ns;  ///< per open span: time in closed children
+    std::array<TaskAgg, kTaskKinds> tasks{};
     std::array<LockStat, kLockSites> locks{};
   };
 
@@ -262,13 +268,16 @@ class SpanScope {
  public:
   SpanScope(RuntimeProfiler* rt, TaskKind kind, uint64_t arg0 = 0, uint64_t arg1 = 0)
       : rt_(rt), kind_(kind), arg0_(arg0), arg1_(arg1) {
-    if (rt_ != nullptr) t0_ = RuntimeProfiler::now_ns();
+    if (rt_ == nullptr) return;
+    rt_->span_begin();
+    t0_ = RuntimeProfiler::now_ns();
   }
   ~SpanScope() {
-    if (rt_ != nullptr) rt_->record_span(kind_, t0_, RuntimeProfiler::now_ns(), arg0_, arg1_);
+    if (rt_ != nullptr) rt_->span_end(kind_, t0_, RuntimeProfiler::now_ns(), arg0_, arg1_);
   }
   /// For args only known at scope exit (e.g. closures replayed).
   void set_arg0(uint64_t v) { arg0_ = v; }
+  void set_arg1(uint64_t v) { arg1_ = v; }
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 

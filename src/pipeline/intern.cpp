@@ -59,8 +59,7 @@ std::shared_ptr<const InternedArtifact> InternStore::intern(
   }
   stats_.parses.fetch_add(1, kRelaxed);
 
-  if (options_.artifact_capacity > 0 &&
-      s.current_entries >= per_generation(options_.artifact_capacity)) {
+  if (s.current_entries >= kArtifactsPerGeneration) {
     s.previous = std::move(s.current);
     s.current.clear();
     s.current_entries = 0;
@@ -70,34 +69,16 @@ std::shared_ptr<const InternedArtifact> InternStore::intern(
   return entry;
 }
 
-std::optional<bool> InternStore::verdict(const types::Hash& key) const {
-  const VerdictShard& s = verdict_shard(key);
-  obs::SampledLock lk(s.mu, runtime_, obs::LockSite::kInternVerdicts);
-  if (const bool* v = s.find(key)) return *v;
-  return std::nullopt;
-}
-
-void InternStore::remember_verdict(const types::Hash& key, bool verdict) {
-  if (options_.verdict_capacity == 0) return;
-  VerdictShard& s = verdict_shard(key);
-  obs::SampledLock lk(s.mu, runtime_, obs::LockSite::kInternVerdicts);
-  s.insert(key, verdict, per_generation(options_.verdict_capacity));
-}
-
 void InternStore::prime_verdict(const types::Hash& key) {
-  remember_verdict(key, true);
+  verdicts_.insert(key, true);
   stats_.verdicts_primed.fetch_add(1, kRelaxed);
 }
 
 Bytes InternStore::beacon(BytesView message, const std::function<Bytes()>& combine) {
-  const types::Hash key = crypto::Sha256::hash(message);
-  BeaconShard& s = beacons_[key[0] % kShards];
-  obs::SampledLock lk(s.mu, runtime_, obs::LockSite::kInternVerdicts);
-  if (const Bytes* value = s.find(key)) return *value;
-  Bytes value = combine();
-  stats_.beacon_combines.fetch_add(1, kRelaxed);
-  if (!value.empty()) s.insert(key, value, per_generation(kBeaconCapacity));
-  return value;
+  return beacons_.find_or_make(crypto::Sha256::hash(message), [&] {
+    stats_.beacon_combines.fetch_add(1, kRelaxed);
+    return combine();
+  });
 }
 
 InternStore::Stats InternStore::stats() const {
@@ -121,22 +102,14 @@ size_t InternStore::interned_artifacts() const {
   return total;
 }
 
-size_t InternStore::cached_verdicts() const {
-  size_t total = 0;
-  for (const VerdictShard& s : verdicts_) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    total += s.size();
-  }
-  return total;
-}
+size_t InternStore::cached_verdicts() const { return verdicts_.size(); }
 
-size_t InternStore::cached_beacons() const {
-  size_t total = 0;
-  for (const BeaconShard& s : beacons_) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    total += s.size();
-  }
-  return total;
+size_t InternStore::cached_beacons() const { return beacons_.size(); }
+
+void InternStore::set_runtime(obs::RuntimeProfiler* runtime) {
+  runtime_ = runtime;
+  verdicts_.set_runtime(runtime);
+  beacons_.set_runtime(runtime);
 }
 
 }  // namespace icc::pipeline

@@ -27,8 +27,9 @@
 //     party has checked its own shares the first combine of a round answers
 //     every other party that reaches it (Verifier::beacon_combine).
 //
-// All tables are sharded (mutex per shard, two-generation rotation) like
-// the per-party verdict cache. The artifact table's and the beacon memo's
+// The verdict and beacon memos are MemoTables (memo.hpp), the same table
+// as the per-party verdict cache; the artifact table is sharded and bounded
+// the same way but chains entries behind a fingerprint. The artifact table's and the beacon memo's
 // counters are exact at any thread count because parsing and combining
 // happen under the shard lock; the verdict memo's real/memo-hit counters may
 // differ by the few verifies that race between check and remember — they
@@ -42,7 +43,6 @@
 // per-replica CPU honestly must run with ClusterOptions::intern = false.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <functional>
@@ -52,11 +52,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "pipeline/memo.hpp"
 #include "types/messages.hpp"
-
-namespace icc::obs {
-class RuntimeProfiler;
-}
 
 namespace icc::pipeline {
 
@@ -71,13 +68,12 @@ struct InternedArtifact {
 
 class InternStore {
  public:
-  struct Options {
-    size_t artifact_capacity = 1 << 14;  ///< interned payloads (two-generation bound)
-    size_t verdict_capacity = 1 << 16;   ///< shared verdict memo entries
-  };
-
-  /// Beacon values kept (two-generation bound): parties are at most a few
-  /// rounds apart, so this covers hundreds of rounds of slack.
+  /// Interned payloads kept (two-generation bound).
+  static constexpr size_t kArtifactCapacity = 1 << 14;
+  /// Shared verdict memo entries.
+  static constexpr size_t kVerdictCapacity = 1 << 16;
+  /// Beacon values kept: parties are at most a few rounds apart, so this
+  /// covers hundreds of rounds of slack.
   static constexpr size_t kBeaconCapacity = 1 << 10;
 
   struct Stats {
@@ -89,9 +85,6 @@ class InternStore {
     uint64_t beacon_combines = 0;    ///< beacon combines run (exact, any thread count)
   };
 
-  InternStore() = default;
-  explicit InternStore(const Options& options) : options_(options) {}
-
   /// Look up (or create) the interned artifact for `payload`. The parse of
   /// a new payload runs under the owning shard's lock, so `parses` counts
   /// distinct payloads exactly, independent of thread interleaving, and the
@@ -99,11 +92,22 @@ class InternStore {
   std::shared_ptr<const InternedArtifact> intern(const std::shared_ptr<const Bytes>& payload);
 
   // --- shared verification memo (keys are Verifier::cache_key digests) ---
-  std::optional<bool> verdict(const types::Hash& key) const;
-  void remember_verdict(const types::Hash& key, bool verdict);
-  /// remember_verdict(key, true) + the primed counter: used by the
-  /// sign-and-prime and combine paths, whose artifacts are valid by
-  /// construction.
+  /// The verdict under `key`: from the memo when any party has already
+  /// checked it, else `check()` runs (outside the lock) and its verdict is
+  /// remembered for every other party.
+  template <typename Check>
+  bool verify_once(const types::Hash& key, Check&& check) {
+    if (auto shared = verdicts_.find(key)) {
+      stats_.verdict_memo_hits.fetch_add(1, kRelaxed);
+      return *shared;
+    }
+    stats_.real_verifications.fetch_add(1, kRelaxed);
+    const bool verdict = check();
+    verdicts_.insert(key, verdict);
+    return verdict;
+  }
+  /// Remember `key` as valid and count it primed: used by the sign-and-prime
+  /// and combine paths, whose artifacts are valid by construction.
   void prime_verdict(const types::Hash& key);
 
   // --- shared beacon memo ---
@@ -115,10 +119,6 @@ class InternStore {
   /// signers, so that any combine yields the round's unique value.
   Bytes beacon(BytesView message, const std::function<Bytes()>& combine);
 
-  // --- F-INTERN accounting (bench-only; see header comment) ---
-  void count_real(uint64_t n) { stats_.real_verifications.fetch_add(n, kRelaxed); }
-  void count_memo_hit(uint64_t n = 1) { stats_.verdict_memo_hits.fetch_add(n, kRelaxed); }
-
   Stats stats() const;
   size_t interned_artifacts() const;
   size_t cached_verdicts() const;
@@ -127,11 +127,14 @@ class InternStore {
   /// Attach the wall-clock profiler (obs/runtime.hpp): shard lock waits are
   /// sampled and first-parse work gets wall-time spans. Observation only —
   /// interning results and counters are unchanged. Not owned.
-  void set_runtime(obs::RuntimeProfiler* runtime) { runtime_ = runtime; }
+  void set_runtime(obs::RuntimeProfiler* runtime);
 
  private:
   static constexpr auto kRelaxed = std::memory_order_relaxed;
   static constexpr size_t kShards = 8;
+  /// Artifacts per shard generation: the table never holds more than
+  /// kArtifactCapacity, as in MemoTable.
+  static constexpr size_t kArtifactsPerGeneration = kArtifactCapacity / (2 * kShards);
 
   /// Fingerprint-keyed bucket chain; full byte equality decides membership.
   using Chain = std::vector<std::shared_ptr<const InternedArtifact>>;
@@ -141,47 +144,13 @@ class InternStore {
     std::unordered_map<uint64_t, Chain> previous;
     size_t current_entries = 0;  ///< artifacts (not buckets) in current
   };
-  /// A digest-keyed memo shard; callers hold `mu` around every member call.
-  template <typename V>
-  struct MemoShard {
-    mutable std::mutex mu;
-    std::unordered_map<types::Hash, V, types::HashHasher> current;
-    std::unordered_map<types::Hash, V, types::HashHasher> previous;
-
-    const V* find(const types::Hash& key) const {
-      if (auto it = current.find(key); it != current.end()) return &it->second;
-      if (auto it = previous.find(key); it != previous.end()) return &it->second;
-      return nullptr;
-    }
-    /// Insert, rotating generations once `current` holds `per_gen` entries.
-    void insert(const types::Hash& key, V value, size_t per_gen) {
-      if (current.size() >= per_gen) {
-        previous = std::move(current);
-        current.clear();
-      }
-      current[key] = std::move(value);
-    }
-    size_t size() const { return current.size() + previous.size(); }
-  };
-  using VerdictShard = MemoShard<bool>;
-  using BeaconShard = MemoShard<Bytes>;
-
   ArtifactShard& artifact_shard(uint64_t fp) { return artifacts_[fp % kShards]; }
   const ArtifactShard& artifact_shard(uint64_t fp) const { return artifacts_[fp % kShards]; }
-  VerdictShard& verdict_shard(const types::Hash& key) { return verdicts_[key[0] % kShards]; }
-  const VerdictShard& verdict_shard(const types::Hash& key) const {
-    return verdicts_[key[0] % kShards];
-  }
-  /// Per-shard generation size for a table of `capacity` entries.
-  static size_t per_generation(size_t capacity) {
-    return std::max<size_t>(1, capacity / (2 * kShards));
-  }
 
-  Options options_;
   obs::RuntimeProfiler* runtime_ = nullptr;
   std::array<ArtifactShard, kShards> artifacts_;
-  std::array<VerdictShard, kShards> verdicts_;
-  std::array<BeaconShard, kShards> beacons_;
+  MemoTable<bool> verdicts_{kVerdictCapacity, obs::LockSite::kInternVerdicts};
+  MemoTable<Bytes> beacons_{kBeaconCapacity, obs::LockSite::kInternVerdicts};
 
   struct StatsCells {
     std::atomic<uint64_t> parses{0};

@@ -28,6 +28,12 @@ class StageTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+types::SharedMessage parse_shared(BytesView bytes) {
+  auto msg = types::parse_message(bytes);
+  if (!msg) return nullptr;
+  return std::make_shared<const types::Message>(std::move(*msg));
+}
+
 }  // namespace
 
 void IngressPipeline::attach_obs(obs::Obs* obs) {
@@ -59,75 +65,40 @@ bool IngressPipeline::dedup_admit(uint32_t from, const types::Hash& id) {
   }
   seen_.insert(id);
   seen_order_.push_back(id);
-  while (seen_order_.size() > options_.dedup_capacity) {
+  while (seen_order_.size() > kDedupCapacity) {
     seen_.erase(seen_order_.front());
     seen_order_.pop_front();
   }
   return true;
 }
 
-std::optional<types::Message> IngressPipeline::decode(uint32_t from, BytesView bytes) {
-  StageTimer timer(decode_wall_ns_);
-  if (options_.dedup) {
-    if (types::sender_scoped_wire(bytes)) {
-      stats_.dedup_exempt++;
-    } else if (!dedup_admit(from, types::artifact_id(bytes))) {
-      return std::nullopt;
-    }
-  }
-  auto msg = types::parse_message(bytes);
-  if (!msg) {
-    stats_.malformed++;
-    return std::nullopt;
-  }
-  stats_.decoded++;
-  return msg;
-}
-
 types::SharedMessage IngressPipeline::decode_shared(
     uint32_t from, const std::shared_ptr<const Bytes>& payload) {
   StageTimer timer(decode_wall_ns_);
-  if (intern_ != nullptr) {
-    // The entry carries the same artifact id / sender-scoping the per-party
-    // path computes, so the dedup window sees identical ids in identical
-    // order — stats and eviction cannot diverge between the two modes.
-    auto entry = intern_->intern(payload);
-    if (options_.dedup) {
-      if (entry->sender_scoped) {
-        stats_.dedup_exempt++;
-      } else if (!dedup_admit(from, entry->artifact_id)) {
-        return nullptr;
-      }
-    }
-    if (!entry->msg) {
-      stats_.malformed++;
-      return nullptr;
-    }
-    stats_.decoded++;
-    return entry->msg;
-  }
-  BytesView bytes(*payload);
-  if (options_.dedup) {
-    if (types::sender_scoped_wire(bytes)) {
+  // An interned entry carries the same artifact id and sender scoping the
+  // per-party path computes, so the dedup window sees identical ids in
+  // identical order: stats and eviction cannot diverge between the modes.
+  // Without a store, a duplicate is dropped before it is parsed.
+  std::shared_ptr<const InternedArtifact> entry =
+      intern_ != nullptr ? intern_->intern(payload) : nullptr;
+  if (options_.stages) {
+    if (entry ? entry->sender_scoped : types::sender_scoped_wire(*payload)) {
       stats_.dedup_exempt++;
-    } else if (!dedup_admit(from, types::artifact_id(bytes))) {
+    } else if (!dedup_admit(from, entry ? entry->artifact_id : types::artifact_id(*payload))) {
       return nullptr;
     }
   }
-  auto msg = types::parse_message(bytes);
+  types::SharedMessage msg = entry ? entry->msg : parse_shared(*payload);
   if (!msg) {
     stats_.malformed++;
     return nullptr;
   }
   stats_.decoded++;
-  return std::make_shared<const types::Message>(std::move(*msg));
+  return msg;
 }
 
 types::SharedMessage IngressPipeline::parse_only(const std::shared_ptr<const Bytes>& payload) {
-  if (intern_ != nullptr) return intern_->intern(payload)->msg;
-  auto msg = types::parse_message(*payload);
-  if (!msg) return nullptr;
-  return std::make_shared<const types::Message>(std::move(*msg));
+  return intern_ != nullptr ? intern_->intern(payload)->msg : parse_shared(*payload);
 }
 
 bool IngressPipeline::verify_proposal(const types::ProposalMsg& m) {

@@ -11,7 +11,7 @@
 //      SHA-256. Sender-scoped messages (adverts, pull requests, CUP
 //      requests) are exempt: their meaning depends on who sent them.
 //   3. verify — all signature checks, centralized in pipeline::Verifier
-//      (memoized + batched; see verifier.hpp);
+//      (memoized; see verifier.hpp);
 //   4. apply  — insertion into the now crypto-free types::Pool.
 //
 // This file implements stages 1-2 and the type-specific verify helpers of
@@ -44,16 +44,15 @@ class IngressPipeline {
     stats_.duplicates_from.assign(n_parties, 0);
   }
 
-  /// Stages 1+2: parse `bytes` from party `from`, dropping malformed and
-  /// exact-duplicate payloads. Returns the typed artifact, or nullopt if the
-  /// payload was dropped.
-  std::optional<types::Message> decode(uint32_t from, BytesView bytes);
+  /// Recent wire hashes remembered per party by the dedup stage.
+  static constexpr size_t kDedupCapacity = 1 << 13;
 
-  /// Shared-buffer variant of decode(): with an attached InternStore the
-  /// parse (and artifact hash) happens once per distinct payload
-  /// cluster-wide; without one this is decode() plus a per-party allocation
-  /// of the result. Stats (decoded/malformed/duplicates/dedup_exempt), the
-  /// per-party dedup window and its eviction order are identical either way.
+  /// Stages 1+2: parse `payload` from party `from`, dropping malformed and
+  /// exact-duplicate payloads; null if the payload was dropped. With an
+  /// attached InternStore the parse (and artifact hash) happens once per
+  /// distinct payload cluster-wide. Stats (decoded/malformed/duplicates/
+  /// dedup_exempt), the per-party dedup window and its eviction order are
+  /// identical either way.
   types::SharedMessage decode_shared(uint32_t from,
                                      const std::shared_ptr<const Bytes>& payload);
 

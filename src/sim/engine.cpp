@@ -116,7 +116,7 @@ void Engine::exec_slot(ExecSlot& slot, bool defer) {
 
 void Engine::run_batch(Time t) {
   now_ = t;
-  const int64_t rb_t0 = runtime_ != nullptr ? obs::RuntimeProfiler::now_ns() : 0;
+  obs::SpanScope batch_span(runtime_, obs::TaskKind::kEngineBatch, batch_seq_);
 
   // Extract every live event at t in (time, id) order — the exact firing
   // order of the classic loop — and give each execution its deterministic
@@ -197,10 +197,7 @@ void Engine::run_batch(Time t) {
 
   batch_ = nullptr;
   batch_index_ = nullptr;
-  if (runtime_ != nullptr) {
-    runtime_->record_span(obs::TaskKind::kEngineBatch, rb_t0,
-                          obs::RuntimeProfiler::now_ns(), batch_seq_, batch.size());
-  }
+  batch_span.set_arg1(batch.size());
   batch_seq_++;
 }
 

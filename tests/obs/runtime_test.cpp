@@ -6,7 +6,8 @@
 //     the profiler may be non-deterministic precisely because nothing it
 //     does feeds back into the run.
 //  2. Its own artifacts are well-formed under stress: an overflowing span
-//     ring reports `spans_dropped` instead of corrupting, the icc-runtime/v1
+//     ring reports `spans_dropped` instead of corrupting and leaves the
+//     per-kind totals exact, the icc-runtime/v1
 //     document round-trips through parse_runtime_report, and the offline
 //     tool (`icc_inspect runtime`, path injected via ICC_INSPECT_BIN) pins the
 //     CI exit-code contract: 0 clean, 1 failed --check, 2 usage/I-O/parse.
@@ -99,9 +100,38 @@ TEST(RuntimeProfilerTest, NullUnlessEnabled) {
   }
 }
 
-// Contract 2a: a deliberately tiny span ring overflows, reports the loss in
-// spans_dropped, and still exports a document the parser accepts.
+const obs::TaskAgg& task(const obs::WorkerReport& w, obs::TaskKind kind) {
+  return w.tasks[static_cast<size_t>(kind)];
+}
+
+// Contract 2a: a deliberately tiny span ring overflows and reports the loss
+// in spans_dropped, but only the trace loses spans: per-kind counts and
+// inclusive and exclusive totals accumulate as each span closes, so they
+// cover the whole run. The report still parses.
 TEST(RuntimeProfilerTest, RingOverflowSetsDroppedAndReportStillParses) {
+  {
+    // A known nest through a 4-slot ring: 10 x engine_batch{2 x party_group}.
+    obs::RuntimeProfiler rt(4);
+    for (int i = 0; i < 10; ++i) {
+      obs::SpanScope outer(&rt, obs::TaskKind::kEngineBatch);
+      for (int j = 0; j < 2; ++j) obs::SpanScope inner(&rt, obs::TaskKind::kPartyGroup);
+    }
+    const obs::RuntimeReport rep = rt.make_report();
+    ASSERT_EQ(rep.workers.size(), 1u);
+    const obs::WorkerReport& w = rep.workers[0];
+    const obs::TaskAgg& outer = task(w, obs::TaskKind::kEngineBatch);
+    const obs::TaskAgg& inner = task(w, obs::TaskKind::kPartyGroup);
+    EXPECT_EQ(w.spans_recorded, 30u);
+    EXPECT_EQ(w.spans_dropped, 26u);
+    EXPECT_EQ(outer.count, 10u);
+    EXPECT_EQ(inner.count, 20u);
+    EXPECT_EQ(inner.exclusive_ns, inner.total_ns);
+    EXPECT_EQ(outer.exclusive_ns, outer.total_ns - inner.total_ns);
+    EXPECT_GE(outer.total_ns, inner.total_ns);
+    EXPECT_LE(outer.max_ns, outer.total_ns);
+    EXPECT_GE(outer.max_ns * 10, outer.total_ns);
+  }
+
   harness::ClusterOptions o = base_options(2, true);
   o.obs.runtime_span_capacity = 4;
   harness::Cluster c(o);
@@ -111,9 +141,25 @@ TEST(RuntimeProfilerTest, RingOverflowSetsDroppedAndReportStillParses) {
   for (const auto& w : rep.workers) {
     dropped += w.spans_dropped;
     recorded += w.spans_recorded;
+    // Every closed span is counted under its kind, not only the ring's tail.
+    uint64_t counted = 0;
+    int64_t exclusive = 0;
+    for (const obs::TaskAgg& t : w.tasks) {
+      counted += t.count;
+      exclusive += t.exclusive_ns;
+      EXPECT_LE(t.exclusive_ns, t.total_ns) << w.name;
+    }
+    EXPECT_EQ(counted, w.spans_recorded) << w.name;
+    // Exclusive times partition the lane's root spans: every span on the
+    // main lane runs inside an engine batch, every span on a worker inside
+    // a party group.
+    const obs::TaskKind root =
+        w.name == "main" ? obs::TaskKind::kEngineBatch : obs::TaskKind::kPartyGroup;
+    EXPECT_EQ(exclusive, task(w, root).total_ns) << w.name;
   }
   EXPECT_GT(recorded, 4u);
   EXPECT_GT(dropped, 0u) << "a 4-slot ring must overflow on a 3 s run";
+  EXPECT_GT(task(rep.workers.at(0), obs::TaskKind::kEngineBatch).count, 4u);
 
   std::string error;
   auto parsed = obs::parse_runtime_report(c.runtime_report_json(), &error);
@@ -128,12 +174,12 @@ TEST(RuntimeProfilerTest, RingOverflowSetsDroppedAndReportStillParses) {
 TEST(RuntimeProfilerTest, ProfilerAtReusedAddressGetsItsOwnLane) {
   alignas(obs::RuntimeProfiler) unsigned char buf[sizeof(obs::RuntimeProfiler)];
   auto* first = new (buf) obs::RuntimeProfiler(8);
-  first->record_span(obs::TaskKind::kEngineBatch, 1, 2, 0, 0);
+  { obs::SpanScope span(first, obs::TaskKind::kEngineBatch); }
   first->~RuntimeProfiler();
 
   auto* second = new (buf) obs::RuntimeProfiler(8);
   ASSERT_EQ(static_cast<void*>(first), static_cast<void*>(second));
-  second->record_span(obs::TaskKind::kDeferReplay, 3, 4, 0, 0);
+  { obs::SpanScope span(second, obs::TaskKind::kDeferReplay); }
   const obs::RuntimeReport rep = second->make_report();
   second->~RuntimeProfiler();
 

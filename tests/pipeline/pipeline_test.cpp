@@ -1,7 +1,8 @@
 // Tests of the staged ingress pipeline: dedup drops duplicate floods before
 // any crypto, the verification cache memoizes without conflating distinct
-// signatures, batch verification survives corrupted shares, and the whole
-// pipeline is behaviour-neutral (bit-identical commit sequences on/off).
+// signatures, a combine drops a forged share through the memoized check,
+// and the whole pipeline is behaviour-neutral (bit-identical commit
+// sequences on/off).
 #include "pipeline/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,10 @@ Block make_block(types::Round round, types::PartyIndex proposer) {
   return b;
 }
 
+std::shared_ptr<const Bytes> wire_of(const Message& m) {
+  return std::make_shared<const Bytes>(types::serialize_message(m));
+}
+
 struct PipelineFixture : ::testing::Test {
   std::unique_ptr<crypto::CryptoProvider> crypto_ =
       crypto::make_fast_provider(4, 1, 42);
@@ -39,10 +44,10 @@ TEST_F(PipelineFixture, DuplicateFloodAbsorbedBeforeCrypto) {
   Bytes msg = types::notarization_message(1, 0, b.hash());
   types::NotarizationShareMsg share{1, 0, b.hash(), 2,
                                     crypto_->threshold_sign_share(crypto::Scheme::kNotary, 2, msg)};
-  Bytes wire = types::serialize_message(Message{share});
+  auto wire = wire_of(Message{share});
 
-  auto first = pipeline_.decode(1, wire);
-  ASSERT_TRUE(first.has_value());
+  auto first = pipeline_.decode_shared(1, wire);
+  ASSERT_NE(first, nullptr);
   EXPECT_TRUE(pipeline_.verify_notarization_share(
       std::get<types::NotarizationShareMsg>(*first)));
   const uint64_t crypto_calls = verifier_.stats().provider_verifications;
@@ -50,8 +55,8 @@ TEST_F(PipelineFixture, DuplicateFloodAbsorbedBeforeCrypto) {
 
   // Flood: 10 more copies from each of parties 1 and 3.
   for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(pipeline_.decode(1, wire).has_value());
-    EXPECT_FALSE(pipeline_.decode(3, wire).has_value());
+    EXPECT_EQ(pipeline_.decode_shared(1, wire), nullptr);
+    EXPECT_EQ(pipeline_.decode_shared(3, wire), nullptr);
   }
   EXPECT_EQ(pipeline_.stats().duplicates, 20u);
   EXPECT_EQ(pipeline_.stats().duplicates_from[1], 10u);
@@ -69,23 +74,26 @@ TEST_F(PipelineFixture, SenderScopedMessagesBypassDedup) {
   advert.round = 1;
   advert.artifact_id = make_block(1, 0).hash();
   advert.size_hint = 100;
-  Bytes wire = types::serialize_message(Message{advert});
-  EXPECT_TRUE(pipeline_.decode(1, wire).has_value());
-  EXPECT_TRUE(pipeline_.decode(2, wire).has_value());
+  auto wire = wire_of(Message{advert});
+  EXPECT_NE(pipeline_.decode_shared(1, wire), nullptr);
+  EXPECT_NE(pipeline_.decode_shared(2, wire), nullptr);
   EXPECT_EQ(pipeline_.stats().dedup_exempt, 2u);
   EXPECT_EQ(pipeline_.stats().duplicates, 0u);
 }
 
 TEST_F(PipelineFixture, DedupCapacityIsBounded) {
-  PipelineOptions small;
-  small.dedup_capacity = 8;
-  IngressPipeline p(verifier_, small, 4);
-  for (uint32_t i = 0; i < 100; ++i) {
-    types::NotarizationShareMsg s{1 + i, 0, make_block(1 + i, 0).hash(), 0,
-                                  str_bytes("s")};
-    p.decode(0, types::serialize_message(Message{s}));
-  }
-  EXPECT_LE(p.dedup_entries(), 8u);
+  auto share_wire = [](uint32_t i) {
+    return wire_of(Message{types::NotarizationShareMsg{
+        1 + i, 0, make_block(1 + i, 0).hash(), 0, str_bytes("s")}});
+  };
+  const uint32_t payloads = 3 * IngressPipeline::kDedupCapacity;
+  for (uint32_t i = 0; i < payloads; ++i) pipeline_.decode_shared(0, share_wire(i));
+  EXPECT_EQ(pipeline_.stats().decoded, payloads);
+  EXPECT_EQ(pipeline_.dedup_entries(), IngressPipeline::kDedupCapacity);
+  // The oldest ids left the window, so a replay of the first is admitted
+  // again; one of the newest is still dropped.
+  EXPECT_NE(pipeline_.decode_shared(0, share_wire(0)), nullptr);
+  EXPECT_EQ(pipeline_.decode_shared(0, share_wire(payloads - 1)), nullptr);
 }
 
 TEST_F(PipelineFixture, CacheNeverConflatesDistinctSignatures) {
@@ -126,57 +134,62 @@ TEST_F(PipelineFixture, SignAndPrimeMakesSelfVerificationFree) {
 }
 
 TEST_F(PipelineFixture, CacheStaysBounded) {
-  PipelineOptions small;
-  small.cache_capacity = 64;
-  Verifier v(*crypto_, small);
   Bytes msg = types::notarization_message(1, 0, make_block(1, 0).hash());
-  for (uint32_t i = 0; i < 1000; ++i) {
+  const uint32_t checks = 3 * Verifier::kCacheCapacity;
+  for (uint32_t i = 0; i < checks; ++i) {
     Bytes sig = str_bytes("sig");
-    sig.push_back(static_cast<uint8_t>(i));
-    sig.push_back(static_cast<uint8_t>(i >> 8));
-    v.verify_threshold_share(crypto::Scheme::kNotary, 0, msg, sig);
+    for (int b = 0; b < 4; ++b) sig.push_back(static_cast<uint8_t>(i >> (8 * b)));
+    verifier_.verify_threshold_share(crypto::Scheme::kNotary, 0, msg, sig);
   }
-  EXPECT_LE(v.cached_verdicts(), small.cache_capacity);
+  EXPECT_EQ(verifier_.stats().provider_verifications, checks);
+  EXPECT_GT(verifier_.cached_verdicts(), 0u);
+  EXPECT_LE(verifier_.cached_verdicts(), Verifier::kCacheCapacity);
 }
 
-/// Batch verification against real Ed25519: the batch equation fails with
-/// one corrupted share and the per-item fallback must accept exactly the
-/// good k-1 while pinpointing the bad one.
-TEST(PipelineBatchTest, BatchWithOneCorruptedShareAcceptsTheRest) {
-  auto crypto = crypto::make_real_provider(4, 1, 7);
-  PipelineOptions options;
-  Verifier verifier(*crypto, options);
-
-  Block b = make_block(1, 0);
-  Bytes msg = types::notarization_message(1, 0, b.hash());
-  std::vector<std::pair<crypto::PartyIndex, Bytes>> shares;
+/// A combine checks each share through the memoized single check: shares
+/// already verified at ingest are cache hits, the rest reach the provider
+/// once, and a forged share is left out of the aggregate.
+TEST(PipelineCombineTest, ForgedShareIsDroppedAndEachMissVerifiedOnce) {
+  auto crypto = crypto::make_real_provider(4, 1, 7);  // quorum 3
+  Verifier verifier(*crypto, PipelineOptions{});
+  const auto scheme = crypto::Scheme::kNotary;
+  Bytes msg = types::notarization_message(1, 0, make_block(1, 0).hash());
+  std::vector<std::pair<crypto::PartyIndex, Bytes>> valid;
   for (crypto::PartyIndex i = 0; i < 3; ++i)
-    shares.emplace_back(i, crypto->threshold_sign_share(crypto::Scheme::kNotary, i, msg));
-  shares[1].second[0] ^= 1;  // corrupt the middle share
+    valid.emplace_back(i, crypto->threshold_sign_share(scheme, i, msg));
+  // Parties 0 and 1 were ingested (verified on arrival); party 2's share
+  // and party 3's forgery, a bit-flipped copy of share 2, were not.
+  Bytes forged = valid[2].second;
+  forged[0] ^= 1;
+  for (size_t i = 0; i < 2; ++i)
+    ASSERT_TRUE(verifier.verify_threshold_share(scheme, valid[i].first, msg, valid[i].second));
+  const std::vector<std::pair<crypto::PartyIndex, Bytes>> shares = {
+      valid[0], valid[1], {3, forged}, valid[2]};
+  const Verifier::Stats before = verifier.stats();
 
-  auto verdicts = verifier.verify_shares_batch(crypto::Scheme::kNotary, msg, shares);
-  ASSERT_EQ(verdicts.size(), 3u);
-  EXPECT_EQ(verdicts[0], 1);
-  EXPECT_EQ(verdicts[1], 0);
-  EXPECT_EQ(verdicts[2], 1);
-  EXPECT_EQ(verifier.stats().batch_calls, 1u);
-  EXPECT_EQ(verifier.stats().batch_fallbacks, 1u);
-
-  // A clean batch passes in one call, and its aggregate verifies.
-  shares[1].second[0] ^= 1;  // restore
-  Verifier fresh(*crypto, options);
-  auto clean = fresh.verify_shares_batch(crypto::Scheme::kNotary, msg, shares);
-  EXPECT_EQ(std::count(clean.begin(), clean.end(), 1), 3);
-  EXPECT_EQ(fresh.stats().batch_calls, 1u);
-  EXPECT_EQ(fresh.stats().batch_fallbacks, 0u);
-  Bytes agg = fresh.threshold_combine(crypto::Scheme::kNotary, msg, shares);
+  const Bytes agg = verifier.threshold_combine(scheme, msg, shares);
   ASSERT_FALSE(agg.empty());
-  EXPECT_TRUE(fresh.verify_threshold(crypto::Scheme::kNotary, msg, agg));
+  EXPECT_EQ(agg, crypto->threshold_combine(scheme, msg, valid));
+  EXPECT_TRUE(crypto->threshold_verify(scheme, msg, agg));
+  Verifier::Stats s = verifier.stats();
+  EXPECT_EQ(s.provider_verifications - before.provider_verifications, 2u);  // the misses
+  EXPECT_EQ(s.cache_hits - before.cache_hits, 2u);
+  EXPECT_EQ(s.combine_share_checks_skipped - before.combine_share_checks_skipped, 3u);
+  EXPECT_EQ(s.primed - before.primed, 1u);  // the aggregate
+
+  // Both verdicts, the forgery's included, are now cached.
+  EXPECT_EQ(verifier.threshold_combine(scheme, msg, shares), agg);
+  const Verifier::Stats again = verifier.stats();
+  EXPECT_EQ(again.provider_verifications, s.provider_verifications);
+  EXPECT_EQ(again.cache_hits - s.cache_hits, shares.size());
+  // The primed aggregate verifies from the cache.
+  EXPECT_TRUE(verifier.verify_threshold(scheme, msg, agg));
+  EXPECT_EQ(verifier.stats().provider_verifications, s.provider_verifications);
 }
 
 // --- determinism: the pipeline must be behaviour-neutral ---
 //
-// Dedup, caching and batching are pure optimizations: with identical seeds
+// Dedup and caching are pure optimizations: with identical seeds
 // the committed (round, hash) sequence of every honest party must be
 // bit-identical whether the stages are on or off, for every protocol and
 // under adversarial traffic.
@@ -229,9 +242,9 @@ class DeterminismTest
 
 TEST_P(DeterminismTest, CommitSequenceIdenticalPipelineOnVsOff) {
   auto [protocol, adversary] = GetParam();
-  PipelineOptions on;  // defaults: dedup + cache + batch
+  PipelineOptions on;  // default: dedup + verdict cache
   PipelineOptions off;
-  off.dedup = off.cache = off.batch = false;
+  off.stages = false;
   EXPECT_EQ(committed_sequences(protocol, adversary, on),
             committed_sequences(protocol, adversary, off));
 }
@@ -242,14 +255,14 @@ TEST_P(DeterminismTest, CommitSequenceIdenticalPipelineOnVsOff) {
 // on and off, under every adversary.
 TEST_P(DeterminismTest, CommitSequenceIdenticalAcrossThreadCounts) {
   auto [protocol, adversary] = GetParam();
-  PipelineOptions on;  // defaults: dedup + cache + batch
+  PipelineOptions on;  // default: dedup + verdict cache
   auto baseline = committed_sequences(protocol, adversary, on, 1);
   for (size_t threads : {2u, 8u}) {
     EXPECT_EQ(committed_sequences(protocol, adversary, on, threads), baseline)
         << threads << " threads";
   }
   PipelineOptions off;
-  off.dedup = off.cache = off.batch = false;
+  off.stages = false;
   EXPECT_EQ(committed_sequences(protocol, adversary, off, 8),
             committed_sequences(protocol, adversary, off, 1));
 }
